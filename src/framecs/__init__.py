@@ -55,7 +55,6 @@ from .solvers import (
     l1_synthesis,
     lemma_audit,
     operator_norm_estimate,
-    project_l2_ball,
     reweighted_l1_analysis,
     soft_threshold,
     split_analysis,

@@ -18,7 +18,6 @@ import argparse
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -42,11 +41,11 @@ from .frames import (
 )
 from .rng import split_seed
 from .sensing import (
-    bernoulli_sensing,
+    SensingOperator,
+    from_descriptor,
     gaussian_sensing,
     measure,
     noise_bound,
-    subsampled_dft_sign,
 )
 from .signals import (
     PulseParams,
@@ -243,59 +242,45 @@ def build_dictionary(kind: str, n: int, cfg_like) -> Dictionary:
     if kind == "identity":
         return build_identity(n)
     if kind == "dft":
-        c = getattr(cfg_like, "oversampling", None)
-        return build_oversampled_dft(n, int(c) if c else 1)
+        return build_oversampled_dft(n, cfg_like.oversampling or 1)
     if kind == "concat-if":
         return build_concat(
             build_identity(n), build_oversampled_dft(n, 1), 1.0 / math.sqrt(2.0)
         )
     if kind == "gabor":
         return build_gabor(
-            n,
-            float(getattr(cfg_like, "gabor_sigma", 8.0)),
-            int(getattr(cfg_like, "gabor_a", 8)),
-            float(getattr(cfg_like, "gabor_b", 1.0 / 32.0)),
+            n, cfg_like.gabor_sigma, cfg_like.gabor_a, cfg_like.gabor_b
         )
     raise CliError(
         f"unknown dictionary kind {kind!r}; choose identity, dft, concat-if, gabor"
     )
 
 
-_SENSING = {
-    "gaussian": gaussian_sensing,
-    "bernoulli": bernoulli_sensing,
-    "fourier": subsampled_dft_sign,
-}
+def build_sensing(kind: str, m: int, n: int, seed: int) -> SensingOperator:
+    """The CLI spells the subsampled_dft_sign descriptor kind "fourier"."""
+    if kind == "fourier":
+        kind = "subsampled_dft_sign"
+    return from_descriptor({"kind": kind, "m": m, "n": n, "seed": seed})
 
 
-def build_sensing(kind: str, m: int, n: int, seed: int):
-    try:
-        ctor = _SENSING[kind]
-    except KeyError:
-        raise CliError(
-            f"unknown sensing kind {kind!r}; choose gaussian, bernoulli, fourier"
-        ) from None
-    return ctor(m, n, seed)
-
-
-def _workers(trials: int) -> int:
-    env = os.environ.get("FRAMECS_WORKERS", "")
-    if env:
-        return max(1, min(int(env), trials))
-    # numpy's own threading competes with trial workers on small cores, so
-    # parallel trials are opt-in
-    return 1
-
-
-def run_trials(worker, trials: int):
-    """Run per-trial closures, results ordered by trial index regardless of
-    scheduling.  Each trial derives everything from its own seed, so the
-    output is identical for any worker count."""
-    w = _workers(trials)
-    if w <= 1 or trials <= 1:
-        return [worker(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=w) as ex:
-        return list(ex.map(worker, range(trials)))
+def build_signal(kind: str, n: int, D: Dictionary, params, seed: int) -> Signal:
+    """A dirac comb, a compressible signal in D, or (any other kind) the
+    radar pulse train; `params` carries the pulse and decay settings."""
+    if kind == "dirac":
+        return dirac_comb(n)
+    if kind == "compressible":
+        return compressible_signal(D, params.q_decay, seed)[1]
+    return radar_pulse_train(
+        n,
+        PulseParams(
+            num_pulses=params.pulses,
+            duration=params.duration,
+            rise_fall=params.rise_fall,
+            f_lo=params.f_lo,
+            f_hi=params.f_hi,
+            seed=seed,
+        ),
+    )
 
 
 def _out_dir(flag_value: str | None) -> Path:
@@ -325,25 +310,11 @@ def cmd_recover(args) -> int:
         D2 = build_dictionary(args.dict2, n, args)
     A = build_sensing(args.sensing, m, n, split_seed(args.seed, 2))
 
-    sig_seed = split_seed(args.seed, 1)
     audit_s = None
-    if args.signal == "dirac":
-        f = dirac_comb(n)
-        audit_s = 2 * math.isqrt(n)
-    elif args.signal == "radar":
-        f = radar_pulse_train(
-            n,
-            PulseParams(
-                num_pulses=args.pulses,
-                duration=args.duration,
-                rise_fall=args.rise_fall,
-                f_lo=args.f_lo,
-                f_hi=args.f_hi,
-                seed=sig_seed,
-            ),
-        )
-    elif args.signal == "compressible":
-        _, f = compressible_signal(D, args.q_decay, sig_seed)
+    if args.signal in ("dirac", "radar", "compressible"):
+        f = build_signal(args.signal, n, D, args, split_seed(args.seed, 1))
+        if args.signal == "dirac":
+            audit_s = 2 * math.isqrt(n)
     else:
         path = Path(args.signal)
         if not path.exists():
@@ -399,35 +370,12 @@ def cmd_recover(args) -> int:
 # experiments
 
 
-def _radar_signal(cfg: ExperimentConfig, seed: int) -> Signal:
-    return radar_pulse_train(
-        cfg.n,
-        PulseParams(
-            num_pulses=cfg.pulses,
-            duration=cfg.duration,
-            rise_fall=cfg.rise_fall,
-            f_lo=cfg.f_lo,
-            f_hi=cfg.f_hi,
-            seed=seed,
-        ),
-    )
-
-
-def _trial_signal(cfg: ExperimentConfig, D: Dictionary, trial: int) -> Signal:
-    seed = split_seed(cfg.seed, trial)
-    if cfg.signal == "dirac":
-        return dirac_comb(cfg.n)
-    if cfg.signal == "compressible":
-        return compressible_signal(D, cfg.q_decay, seed)[1]
-    return _radar_signal(cfg, seed)
-
-
 def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
     scfg = _solver_config(cfg)
 
     def one_trial(t: int):
-        f = _trial_signal(cfg, D, t)
+        f = build_signal(cfg.signal, cfg.n, D, cfg, split_seed(cfg.seed, t))
         A = gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, 10_000 + t))
         af_norm = float(np.linalg.norm(A.apply(f.samples)))
         errs = []
@@ -448,7 +396,7 @@ def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
             )
         return errs
 
-    results = run_trials(one_trial, cfg.trials)
+    results = [one_trial(t) for t in range(cfg.trials)]
     rows = []
     for li, nu in enumerate(cfg.sigmas):
         plain_mean = sum(r[li][0] for r in results) / cfg.trials
@@ -465,7 +413,7 @@ def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
     sigma0 = cfg.sigmas[0] if cfg.sigmas else 0.0
 
     def one_trial(t: int):
-        f = _radar_signal(cfg, split_seed(cfg.seed, t))
+        f = build_signal("radar", cfg.n, D, cfg, split_seed(cfg.seed, t))
         A = gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, 10_000 + t))
         y, znorm = measure(A, f.samples, sigma0, split_seed(cfg.seed, 20_000 + t))
         eps = znorm
@@ -473,7 +421,7 @@ def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
         rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
         return f, plain, rw
 
-    results = run_trials(one_trial, cfg.trials)
+    results = [one_trial(t) for t in range(cfg.trials)]
     rows = []
     for t, (f, plain, rw) in enumerate(results):
         mp, mw = metrics(plain.f_hat, f), metrics(rw.f_hat, f)
@@ -534,7 +482,7 @@ def _exp_dirac_comb(cfg: ExperimentConfig, out: Path) -> list[Path]:
             int(rep.converged),
         )
 
-    rows = run_trials(one_trial, cfg.trials)
+    rows = [one_trial(t) for t in range(cfg.trials)]
     path = out / "dirac_comb.csv"
     path.write_text(
         fio.table_to_csv("trial,relative_error,iterations,converged", rows)
@@ -555,7 +503,7 @@ def _exp_constants(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _exp_coefficient_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    f = _radar_signal(cfg, split_seed(cfg.seed, 0))
+    f = build_signal("radar", cfg.n, D, cfg, split_seed(cfg.seed, 0))
     mags = np.sort(np.abs(D.adjoint(f.samples)))[::-1]
     rows = [(k, float(mags[k])) for k in range(mags.size)]
     path = out / "coefficient_decay.csv"
@@ -568,7 +516,7 @@ def _exp_method_comparison(cfg: ExperimentConfig, out: Path) -> list[Path]:
     scfg = _solver_config(cfg)
 
     def one_trial(t: int):
-        f = _trial_signal(cfg, D, t)
+        f = build_signal(cfg.signal, cfg.n, D, cfg, split_seed(cfg.seed, t))
         A = gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, 10_000 + t))
         y, _ = measure(A, f.samples, 0.0, 0)
         ra = l1_analysis(A, D, y, 0.0, cfg=scfg)
@@ -581,7 +529,7 @@ def _exp_method_comparison(cfg: ExperimentConfig, out: Path) -> list[Path]:
             metrics(rs.f_hat, f)["relative_error"],
         )
 
-    rows = run_trials(one_trial, cfg.trials)
+    rows = [one_trial(t) for t in range(cfg.trials)]
     path = out / "method_comparison.csv"
     path.write_text(
         fio.table_to_csv("trial,err_analysis,err_reweighted,err_synthesis", rows)

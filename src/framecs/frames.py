@@ -15,7 +15,8 @@ import math
 
 import numpy as np
 
-from .linops import MATERIALIZATION_CAP, LinearOperator
+from .linops import MATERIALIZATION_CAP, LinearOperator, power_iteration
+from .rng import make_rng
 
 __all__ = [
     "Dictionary",
@@ -248,8 +249,11 @@ def _frame_operator(D: Dictionary) -> np.ndarray:
 def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
     """Frame bounds (A, B) = extreme eigenvalues of D D*.
 
-    Dense Hermitian eigensolve up to ``dense_limit``; power iteration on
-    the frame operator beyond that (1e-6 relative).
+    Dense Hermitian eigensolve up to ``dense_limit``; beyond that, power
+    iteration on the frame operator and on B*I - D D*, at most 500 steps
+    each.  The step cap can bind: on build_gabor(256, 8.0, 8, 1/32) the
+    power branch lands within 6e-5 (A) and 8e-5 (B) relative of the
+    dense eigenvalues.
     """
     if D._bounds_cache is not None:
         return D._bounds_cache
@@ -258,33 +262,17 @@ def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
         eig = np.linalg.eigvalsh(S)
         A, B = float(eig[0]), float(eig[-1])
     else:
-        B = _power_extreme(D, shift=None)
-        A = B - _power_extreme(D, shift=B)
+
+        def frame_op(v):
+            return D.apply(D.adjoint(v))
+
+        B = power_iteration(frame_op, D.n, make_rng(0x5EED, D.n), 500)
+        A = B - power_iteration(
+            lambda v: B * v - frame_op(v), D.n, make_rng(0x5EED, D.n), 500
+        )
     A = max(A, 0.0)
     D._bounds_cache = (A, B)
     return A, B
-
-
-def _power_extreme(D: Dictionary, shift: float | None, iters: int = 500) -> float:
-    """Largest eigenvalue of S (shift None) or of shift*I - S."""
-    rng = np.random.Generator(np.random.Philox(key=[0x5EED, D.n]))
-    v = rng.standard_normal(D.n) + 1j * rng.standard_normal(D.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = D.apply(D.adjoint(v))
-        if shift is not None:
-            w = shift * v - w
-        nw = np.linalg.norm(w)
-        if nw == 0.0:
-            return 0.0
-        new = float(np.real(np.vdot(v, w)))
-        v = w / nw
-        if abs(new - lam) <= 1e-9 * max(abs(new), 1e-30):
-            lam = new
-            break
-        lam = new
-    return lam
 
 
 def tighten(D: Dictionary) -> Dictionary:

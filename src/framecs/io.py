@@ -8,7 +8,6 @@ round-trip), so identical inputs serialize byte-identically.
 from __future__ import annotations
 
 import json
-from pathlib import Path
 
 import numpy as np
 
@@ -18,8 +17,6 @@ from .solvers import RecoveryReport
 __all__ = [
     "signal_to_csv",
     "signal_from_csv",
-    "matrix_to_csv",
-    "matrix_from_csv",
     "report_to_json",
     "table_to_csv",
 ]
@@ -56,40 +53,6 @@ def signal_from_csv(text: str) -> Signal:
     if len(samples) != n:
         raise ValueError(f"header says n={n} but found {len(samples)} samples")
     return Signal(np.asarray(samples), sample_rate=rate)
-
-
-def matrix_to_csv(M: np.ndarray) -> str:
-    """Row-major dense export; each complex entry occupies two adjacent
-    columns (re, im)."""
-    M = np.asarray(M, dtype=complex)
-    n, d = M.shape
-    lines = [f"# rows={n} cols={d} complex=1"]
-    for row in M:
-        parts = []
-        for v in row:
-            parts.append(_fmt(v.real))
-            parts.append(_fmt(v.imag))
-        lines.append(",".join(parts))
-    return "\n".join(lines) + "\n"
-
-
-def matrix_from_csv(text: str) -> np.ndarray:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ValueError("missing '# rows=... cols=... complex=1' header")
-    header = dict(
-        part.split("=", 1) for part in lines[0].lstrip("# ").split() if "=" in part
-    )
-    n, d = int(header["rows"]), int(header["cols"])
-    M = np.empty((n, d), dtype=complex)
-    if len(lines) - 1 != n:
-        raise ValueError(f"expected {n} data rows, found {len(lines) - 1}")
-    for i, ln in enumerate(lines[1:]):
-        vals = [float(s) for s in ln.split(",")]
-        if len(vals) != 2 * d:
-            raise ValueError(f"row {i}: expected {2 * d} columns, found {len(vals)}")
-        M[i] = np.asarray(vals[0::2]) + 1j * np.asarray(vals[1::2])
-    return M
 
 
 def report_to_json(report: RecoveryReport, relative_error: float | None = None) -> str:
@@ -132,6 +95,3 @@ def history_to_csv(report: RecoveryReport) -> str:
         [(i + 1, obj, feas) for i, (obj, feas) in enumerate(report.history)],
     )
 
-
-def write_text(path: Path | str, text: str) -> None:
-    Path(path).write_text(text)

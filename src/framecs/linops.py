@@ -15,7 +15,12 @@ from typing import Callable
 
 import numpy as np
 
-__all__ = ["LinearOperator", "MATERIALIZATION_CAP", "adjoint_mismatch"]
+__all__ = [
+    "LinearOperator",
+    "MATERIALIZATION_CAP",
+    "adjoint_mismatch",
+    "power_iteration",
+]
 
 # Dense export refuses above this many entries unless the caller raises it.
 MATERIALIZATION_CAP = 2**24
@@ -109,3 +114,31 @@ def adjoint_mismatch(
         scale = np.linalg.norm(u) * np.linalg.norm(v)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
+
+
+def power_iteration(
+    gram: Callable[[np.ndarray], np.ndarray],
+    dim: int,
+    rng: np.random.Generator,
+    iters: int,
+) -> float:
+    """Largest eigenvalue of a Hermitian positive semidefinite map.
+
+    Starts from a complex Gaussian vector drawn from `rng` and stops when
+    the Rayleigh quotient moves by at most 1e-12 relative, or after
+    `iters` steps.
+    """
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(iters):
+        w = gram(v)
+        new = float(np.real(np.vdot(v, w)))
+        nw = float(np.linalg.norm(w))
+        if nw == 0.0:
+            return 0.0
+        v = w / nw
+        if abs(new - lam) <= 1e-12 * max(abs(new), 1e-300):
+            return new
+        lam = new
+    return lam

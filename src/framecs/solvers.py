@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .frames import Dictionary, frame_bounds
-from .linops import MATERIALIZATION_CAP, LinearOperator
+from .linops import MATERIALIZATION_CAP, LinearOperator, power_iteration
 from .rng import make_rng
 from .sensing import SensingOperator
 from .signals import Signal
@@ -36,7 +36,6 @@ __all__ = [
     "l1_synthesis",
     "split_analysis",
     "soft_threshold",
-    "project_l2_ball",
     "operator_norm_estimate",
     "lemma_audit",
 ]
@@ -52,10 +51,8 @@ class SolverConfig:
     max_iter: int = 20000
     tol_rel: float = 1e-6
     tol_feas: float | None = None
-    power_iters: int = 100
     over_relaxation: float = 1.0
     history: bool = False
-    seed: int = 0
     # tau/sigma asymmetry; tau*sigma*||K||^2 < 1 holds for any ratio.
     # Values < 1 favor dual progress, which suits problems whose duals are
     # box-bounded at unit scale while the signal is much larger.
@@ -68,8 +65,6 @@ class SolverConfig:
             raise ValueError("tol_rel must be > 0")
         if not (1.0 <= self.over_relaxation < 2.0):
             raise ValueError("over_relaxation must lie in [1, 2)")
-        if self.power_iters < 1:
-            raise ValueError("power_iters must be >= 1")
         if self.step_ratio <= 0:
             raise ValueError("step_ratio must be > 0")
 
@@ -136,20 +131,6 @@ def soft_threshold(
     return v * scale
 
 
-def project_l2_ball(
-    v: np.ndarray, center: np.ndarray, radius: float
-) -> np.ndarray:
-    """Euclidean projection onto the ball of given center and radius."""
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    v = np.asarray(v, dtype=complex)
-    diff = v - center
-    norm = float(np.linalg.norm(diff))
-    if norm <= radius or norm == 0.0:
-        return v.copy()
-    return center + diff * (radius / norm)
-
-
 def _clip_modulus(v: np.ndarray, bound: np.ndarray | float) -> np.ndarray:
     """Project onto {|v_i| <= bound_i}: the conjugate prox of weighted l1."""
     mags = np.abs(v)
@@ -189,21 +170,9 @@ def operator_norm_estimate(
         apply, adjoint, dim = K.apply, K.adjoint, K.in_dim
     else:
         apply, adjoint, dim = K
-    rng = make_rng(seed, stream=0x9090)
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = adjoint(apply(v))
-        new = float(np.real(np.vdot(v, w)))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(new - lam) <= 1e-12 * max(abs(new), 1e-300):
-            lam = new
-            break
-        lam = new
+    lam = power_iteration(
+        lambda v: adjoint(apply(v)), dim, make_rng(seed, stream=0x9090), iters
+    )
     return math.sqrt(max(lam, 0.0))
 
 
@@ -221,6 +190,8 @@ class _DualBlock:
 
 _WINDOW = 10  # convergence window length (iterations)
 _REFRESH = 512  # recompute tracked block images every this many iterations
+_POWER_ITERS = 100  # step cap of the ||K|| estimate behind the step size
+_POWER_SEED = 0  # seeds the estimate's start vector
 
 
 def _pdhg(
@@ -254,11 +225,10 @@ def _pdhg(
             out += b.adjoint(img)
         return out
 
-    # Feeding (identity, K*K) to the estimator makes its adjoint∘apply equal
-    # K*K, so the returned sqrt(lambda_max) is ||K|| directly.
-    norm_k = operator_norm_estimate(
-        (lambda v: v, stacked_power, n_primal), iters=cfg.power_iters, seed=cfg.seed
+    lam = power_iteration(
+        stacked_power, n_primal, make_rng(_POWER_SEED, stream=0x9090), _POWER_ITERS
     )
+    norm_k = math.sqrt(max(lam, 0.0))
     step = 1.0 / (1.01 * max(norm_k, 1e-150))
     tau = step * cfg.step_ratio
     sigma = step / cfg.step_ratio
@@ -416,11 +386,14 @@ def _analysis_core(A, D, y, eps, cfg, w, x0=None, duals0=None):
     )
 
 
-def _check_analysis_inputs(A, D, y, eps):
+def _check_inputs(A, y, eps, *dicts):
     if eps < 0:
         raise ValueError("eps must be >= 0")
-    if A.n != D.n:
-        raise ValueError(f"signal dimension mismatch: sensing n={A.n}, dict n={D.n}")
+    for D in dicts:
+        if A.n != D.n:
+            raise ValueError(
+                f"signal dimension mismatch: sensing n={A.n}, dict n={D.n}"
+            )
     y = _as_vector(y)
     if y.shape != (A.m,):
         raise ValueError(f"y must have length m={A.m}, got {y.shape}")
@@ -444,7 +417,7 @@ def l1_analysis(
     reference signal is supplied the report carries the lemma audit.
     """
     cfg = cfg or SolverConfig()
-    y = _check_analysis_inputs(A, D, y, eps)
+    y = _check_inputs(A, y, eps, D)
     w = np.ones(D.d) if weights is None else np.asarray(weights, dtype=float)
     if w.shape != (D.d,) or np.any(w <= 0):
         raise ValueError("weights must be positive and of length d")
@@ -505,7 +478,7 @@ def reweighted_l1_analysis(
     if rw_iters < 1:
         raise ValueError("rw_iters must be >= 1")
     cfg = cfg or SolverConfig()
-    y = _check_analysis_inputs(A, D, y, eps)
+    y = _check_inputs(A, y, eps, D)
     s_eff = s if s is not None else max(1, A.m // 4)
     w = np.ones(D.d)
     x = duals = None
@@ -546,13 +519,7 @@ def l1_synthesis(
     """min ||x||_1  s.t.  ||A D x - y||_2 <= eps; returns (report, xhat)
     with fhat = D xhat.  The report objective is ||xhat||_1."""
     cfg = cfg or SolverConfig()
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if A.n != D.n:
-        raise ValueError(f"signal dimension mismatch: sensing n={A.n}, dict n={D.n}")
-    y = _as_vector(y)
-    if y.shape != (A.m,):
-        raise ValueError(f"y must have length m={A.m}, got {y.shape}")
+    y = _check_inputs(A, y, eps, D)
 
     blocks = [
         _DualBlock(
@@ -631,15 +598,7 @@ def split_analysis(
     degeneracy otherwise.  The report's diagnostics audit against D1.
     """
     cfg = cfg or SolverConfig()
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if not (D1.n == D2.n == A.n):
-        raise ValueError(
-            f"signal dimension mismatch: A.n={A.n}, D1.n={D1.n}, D2.n={D2.n}"
-        )
-    y = _as_vector(y)
-    if y.shape != (A.m,):
-        raise ValueError(f"y must have length m={A.m}, got {y.shape}")
+    y = _check_inputs(A, y, eps, D1, D2)
     n = A.n
 
     proj1 = _range_projector(D1)

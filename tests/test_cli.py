@@ -11,7 +11,10 @@ from framecs.cli import (
     parse_config,
     serialize_config,
 )
+from framecs.certify import drip_exact_small
+from framecs.frames import build_concat, build_identity, build_oversampled_dft
 from framecs.io import signal_to_csv
+from framecs.sensing import bernoulli_sensing, subsampled_dft_sign
 from framecs.signals import Signal
 from framecs.rng import make_rng
 
@@ -247,6 +250,23 @@ class TestCertifyCommand:
         assert code == 0
         row = out.splitlines()[1].split(",")
         assert float(row[1]) == pytest.approx(1.1812042546837898, rel=1e-9)
+
+    @pytest.mark.parametrize(
+        "flag, ctor",
+        [("fourier", subsampled_dft_sign), ("bernoulli", bernoulli_sensing)],
+    )
+    def test_drip_exact_sensing_kinds(self, flag, ctor, capsys):
+        code, out, _ = run_cli(
+            ["certify", "drip-exact", "--dict", "concat-if", "--n", "8",
+             "--m", "6", "--seed", "7", "--s", "2", "--sensing", flag],
+            capsys,
+        )
+        assert code == 0
+        D = build_concat(
+            build_identity(8), build_oversampled_dft(8, 1), 1 / math.sqrt(2)
+        )
+        expected = drip_exact_small(ctor(6, 8, 7), D, 2).delta_hat
+        assert float(out.splitlines()[1].split(",")[1]) == expected
 
     def test_drip_mc_monotone_in_trials(self, capsys):
         base = ["certify", "drip-mc", "--dict", "concat-if", "--n", "8",

@@ -182,6 +182,16 @@ class TestFrameBounds:
         A, B = frame_bounds(D)
         assert (A, B) == pytest.approx((5.0, 5.0), abs=1e-10)
 
+    def test_power_branch_matches_dense_eig(self):
+        # dense_limit below n forces the power branch, whose 500-step cap
+        # binds on this frame.
+        D = build_gabor(256, 8.0, 8, 1 / 32)
+        M = D.dense()
+        eig = np.linalg.eigvalsh(M @ M.conj().T)
+        A, B = frame_bounds(D, dense_limit=16)
+        assert A == pytest.approx(eig[0], rel=1e-3)
+        assert B == pytest.approx(eig[-1], rel=1e-3)
+
 
 class TestCoherence:
     def test_identity_zero(self):

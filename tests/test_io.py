@@ -4,8 +4,6 @@ import numpy as np
 import pytest
 
 from framecs.io import (
-    matrix_from_csv,
-    matrix_to_csv,
     report_to_json,
     signal_from_csv,
     signal_to_csv,
@@ -45,17 +43,6 @@ def test_signal_length_mismatch_detected():
     bad = "# n=3 sample_rate=none\n1.0,0.0\n"
     with pytest.raises(ValueError, match="n=3"):
         signal_from_csv(bad)
-
-
-def test_matrix_round_trip():
-    rng = make_rng(2)
-    M = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
-    text = matrix_to_csv(M)
-    assert text.splitlines()[0] == "# rows=3 cols=5 complex=1"
-    # two adjacent columns per complex entry
-    assert len(text.splitlines()[1].split(",")) == 10
-    back = matrix_from_csv(text)
-    assert np.array_equal(back, M)
 
 
 def test_report_json_field_order():

@@ -20,7 +20,6 @@ from framecs.solvers import (
     l1_synthesis,
     lemma_audit,
     operator_norm_estimate,
-    project_l2_ball,
     reweight_weights,
     reweighted_l1_analysis,
     soft_threshold,
@@ -60,21 +59,6 @@ class TestProxPrimitives:
         assert np.allclose(out, [2.0, 1.0])
         with pytest.raises(ValueError):
             soft_threshold(np.array([1.0]), -0.5)
-
-    def test_project_inside_unchanged(self):
-        v = np.array([0.5, 0.5], dtype=complex)
-        out = project_l2_ball(v, np.zeros(2), 2.0)
-        assert np.array_equal(out, v)
-
-    def test_project_outside_lands_on_sphere(self):
-        center = np.array([1.0, 0.0], dtype=complex)
-        out = project_l2_ball(np.array([5.0, 0.0]), center, 1.5)
-        assert np.linalg.norm(out - center) == pytest.approx(1.5)
-
-    def test_project_radius_zero(self):
-        center = np.array([1.0, 2.0], dtype=complex)
-        out = project_l2_ball(np.array([5.0, -1.0]), center, 0.0)
-        assert np.allclose(out, center)
 
 
 class TestOperatorNorm:
