@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linops import MATERIALIZATION_CAP, LinearOperator, power_iteration
+from .linops import LinearOperator, power_iteration
 from .rng import make_rng
 
 __all__ = [
@@ -46,7 +46,9 @@ class Dictionary(LinearOperator):
         self.d = int(d)
         self.kind = kind
         self.tight = bool(tight)
-        self._bounds_cache: tuple[float, float] | None = None
+        # (exact, (A, B)): the last frame_bounds result and whether it came
+        # from the dense eigensolve or the power branch.
+        self._bounds_cache: tuple[bool, tuple[float, float]] | None = None
 
     def __repr__(self):
         return (
@@ -232,11 +234,17 @@ def from_matrix(M: np.ndarray, tight: bool | None = None) -> Dictionary:
 
 
 def _frame_operator(D: Dictionary) -> np.ndarray:
-    """Dense n x n frame operator S = D D*."""
-    n = D.n
-    if n * D.d <= MATERIALIZATION_CAP:
-        M = D.dense()
+    """Dense n x n frame operator S = D D*.
+
+    When D carries its matrix (``from_matrix``, or ``tighten`` of such a
+    dictionary) S is one product of that stored matrix with its adjoint.
+    Otherwise column j of S is D(D* e_j): n adjoint/apply pairs that never
+    form the n x d matrix, so the memory cost is the n x n complex S alone.
+    """
+    M = D._dense_cache
+    if M is not None:
         return M @ M.conj().T
+    n = D.n
     S = np.empty((n, n), dtype=complex)
     e = np.zeros(n, dtype=complex)
     for j in range(n):
@@ -249,15 +257,22 @@ def _frame_operator(D: Dictionary) -> np.ndarray:
 def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
     """Frame bounds (A, B) = extreme eigenvalues of D D*.
 
-    Dense Hermitian eigensolve up to ``dense_limit``; beyond that, power
+    Up to ``dense_limit``, a dense Hermitian eigensolve of S = D D*, formed
+    from n adjoint/apply pairs (or one product when D stores its matrix);
+    memory is one n x n complex S, never the n x d D.  Beyond that, power
     iteration on the frame operator and on B*I - D D*, at most 500 steps
     each.  The step cap can bind: on build_gabor(256, 8.0, 8, 1/32) the
     power branch lands within 6e-5 (A) and 8e-5 (B) relative of the
     dense eigenvalues.
+
+    The result is cached on D together with the branch that produced it,
+    so a later call whose ``dense_limit`` selects the other branch
+    recomputes.
     """
-    if D._bounds_cache is not None:
-        return D._bounds_cache
-    if D.n <= dense_limit:
+    exact = D.n <= dense_limit
+    if D._bounds_cache is not None and D._bounds_cache[0] == exact:
+        return D._bounds_cache[1]
+    if exact:
         S = _frame_operator(D)
         eig = np.linalg.eigvalsh(S)
         A, B = float(eig[0]), float(eig[-1])
@@ -271,14 +286,17 @@ def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
             lambda v: B * v - frame_op(v), D.n, make_rng(0x5EED, D.n), 500
         )
     A = max(A, 0.0)
-    D._bounds_cache = (A, B)
+    D._bounds_cache = (exact, (A, B))
     return A, B
 
 
 def tighten(D: Dictionary) -> Dictionary:
     """Whiten a frame: returns (D D*)^{-1/2} D, which is tight.
 
-    Raises when the frame lower bound is (numerically) zero.
+    S = D D* comes from n adjoint/apply pairs, or from one product when D
+    stores its matrix; memory is the n x n complex S and its eigenvectors,
+    and D itself is left unmaterialized.  Raises when the frame lower
+    bound is (numerically) zero.
     """
     S = _frame_operator(D)
     eig, V = np.linalg.eigh(S)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framecs.frames import (
+    Dictionary,
     build_concat,
     build_gabor,
     build_identity,
@@ -163,6 +164,11 @@ class TestTighten:
         with pytest.raises(ValueError, match="not a frame"):
             tighten(from_matrix(M))
 
+    def test_gabor_input_left_unmaterialized(self):
+        D = build_gabor(64, 4.0, 4, 1 / 16)
+        tighten(D)
+        assert D._dense_cache is None
+
 
 class TestFrameBounds:
     def test_unitary(self):
@@ -191,6 +197,47 @@ class TestFrameBounds:
         A, B = frame_bounds(D, dense_limit=16)
         assert A == pytest.approx(eig[0], rel=1e-3)
         assert B == pytest.approx(eig[-1], rel=1e-3)
+
+    @pytest.mark.parametrize(
+        "n, sigma, a, b", [(64, 4.0, 4, 1 / 16), (60, 6.0, 4, 1 / 8)]
+    )
+    def test_unmaterialized_frame_takes_n_operator_pairs(self, n, sigma, a, b):
+        M = build_gabor(n, sigma, a, b).dense()
+        eig = np.linalg.eigvalsh(M @ M.conj().T)
+        D = build_gabor(n, sigma, a, b)
+        calls = {"apply": 0, "adjoint": 0}
+
+        def counted(name, fn):
+            def call(v):
+                calls[name] += 1
+                return fn(v)
+
+            return call
+
+        C = Dictionary(
+            D.n, D.d, counted("apply", D.apply), counted("adjoint", D.adjoint),
+            D.kind, D.tight,
+        )
+        A, B = frame_bounds(C)
+        assert calls == {"apply": n, "adjoint": n}
+        assert C._dense_cache is None and D._dense_cache is None
+        assert A == pytest.approx(eig[0], rel=1e-12)
+        assert B == pytest.approx(eig[-1], rel=1e-12)
+
+    def test_cache_returns_the_requested_branch(self):
+        # The dense and power branches differ in the fifth digit here, so a
+        # cached result from one branch must not answer a call for the other.
+        def fresh():
+            return build_gabor(256, 8.0, 8, 1 / 32)
+
+        exact, power = frame_bounds(fresh()), frame_bounds(fresh(), dense_limit=16)
+        assert exact != power
+        D = fresh()
+        assert frame_bounds(D) == exact
+        assert frame_bounds(D, dense_limit=16) == power
+        D = fresh()
+        assert frame_bounds(D, dense_limit=16) == power
+        assert frame_bounds(D) == exact
 
 
 class TestCoherence:
