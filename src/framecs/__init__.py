@@ -54,7 +54,6 @@ from .solvers import (
     l1_analysis,
     l1_synthesis,
     lemma_audit,
-    operator_norm_estimate,
     reweighted_l1_analysis,
     soft_threshold,
     split_analysis,

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from .frames import Dictionary
-from .linops import MATERIALIZATION_CAP
 from .rng import make_rng
 from .sensing import SensingOperator
 from .signals import Signal, best_s_term

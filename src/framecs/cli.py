@@ -20,6 +20,7 @@ import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -67,16 +68,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
 
-EXPERIMENTS = (
-    "radar",
-    "dirac-comb",
-    "noise-curve",
-    "constants",
-    "coefficient-decay",
-    "method-comparison",
-)
-
-
 class CliError(Exception):
     """Usage or data error -> exit 1."""
 
@@ -121,67 +112,8 @@ class ExperimentConfig:
             raise CliError("trials must be >= 1")
 
 
-EXPERIMENT_DEFAULTS: dict[str, dict] = {
-    "noise-curve": {},
-    "radar": {
-        "n": 1024,
-        "m": 120,
-        "oversampling": 8,
-        "s": 40,
-        "sigmas": (0.0,),
-        "trials": 10,
-        "gabor_sigma": 16.0,
-        "gabor_a": 8,
-        "gabor_b": 1.0 / 64.0,
-        "pulses": 3,
-        "duration": 128,
-        "rise_fall": 32,
-        "max_iter": 6000,
-    },
-    "dirac-comb": {
-        "n": 64,
-        "m": 32,
-        "dict_kind": "concat-if",
-        "signal": "dirac",
-        "sigmas": (0.0,),
-        "trials": 10,
-        "s": 16,
-        "max_iter": 20000,
-        "over_relaxation": 1.8,
-        "tol_rel": 1e-6,
-    },
-    "constants": {"trials": 1},
-    "coefficient-decay": {
-        "n": 1024,
-        "oversampling": 8,
-        "gabor_sigma": 16.0,
-        "gabor_a": 8,
-        "gabor_b": 1.0 / 64.0,
-        "pulses": 3,
-        "duration": 128,
-        "rise_fall": 32,
-        "trials": 1,
-    },
-    "method-comparison": {
-        "n": 128,
-        "m": 64,
-        "dict_kind": "dft",
-        "oversampling": 4,
-        "signal": "compressible",
-        "sigmas": (0.0,),
-        "trials": 5,
-        "s": 16,
-        "max_iter": 8000,
-    },
-}
-
-
 def default_config(experiment: str) -> ExperimentConfig:
-    overrides = EXPERIMENT_DEFAULTS.get(experiment)
-    if overrides is None:
-        raise CliError(
-            f"unknown experiment {experiment!r}; choose from " + ", ".join(EXPERIMENTS)
-        )
+    _, overrides = _EXPERIMENTS.get(experiment, (None, {}))
     return ExperimentConfig(experiment=experiment, **overrides)
 
 
@@ -304,6 +236,8 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
 
 
 def cmd_recover(args) -> int:
+    if args.audit_s is not None and args.audit_s < 1:
+        raise CliError(f"--audit-s must be >= 1, got {args.audit_s}")
     n, m = args.n, args.m
     D = build_dictionary(args.dict, n, args)
     if args.method == "split":
@@ -324,7 +258,7 @@ def cmd_recover(args) -> int:
             raise CliError(
                 f"dimension mismatch: signal length {f.n} but --n is {n}"
             )
-    if args.audit_s:
+    if args.audit_s is not None:
         audit_s = args.audit_s
 
     y, znorm = measure(A, f.samples, args.sigma, split_seed(args.seed, 3))
@@ -537,14 +471,73 @@ def _exp_method_comparison(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-_EXPERIMENT_RUNNERS = {
-    "noise-curve": _exp_noise_curve,
-    "radar": _exp_radar,
-    "dirac-comb": _exp_dirac_comb,
-    "constants": _exp_constants,
-    "coefficient-decay": _exp_coefficient_decay,
-    "method-comparison": _exp_method_comparison,
+# name -> (runner, ExperimentConfig overrides); the order is the CLI's
+_EXPERIMENTS: dict[str, tuple[Callable[..., list[Path]], dict]] = {
+    "radar": (
+        _exp_radar,
+        {
+            "n": 1024,
+            "m": 120,
+            "oversampling": 8,
+            "s": 40,
+            "sigmas": (0.0,),
+            "trials": 10,
+            "gabor_sigma": 16.0,
+            "gabor_a": 8,
+            "gabor_b": 1.0 / 64.0,
+            "pulses": 3,
+            "duration": 128,
+            "rise_fall": 32,
+            "max_iter": 6000,
+        },
+    ),
+    "dirac-comb": (
+        _exp_dirac_comb,
+        {
+            "n": 64,
+            "m": 32,
+            "dict_kind": "concat-if",
+            "signal": "dirac",
+            "sigmas": (0.0,),
+            "trials": 10,
+            "s": 16,
+            "max_iter": 20000,
+            "over_relaxation": 1.8,
+            "tol_rel": 1e-6,
+        },
+    ),
+    "noise-curve": (_exp_noise_curve, {}),
+    "constants": (_exp_constants, {"trials": 1}),
+    "coefficient-decay": (
+        _exp_coefficient_decay,
+        {
+            "n": 1024,
+            "oversampling": 8,
+            "gabor_sigma": 16.0,
+            "gabor_a": 8,
+            "gabor_b": 1.0 / 64.0,
+            "pulses": 3,
+            "duration": 128,
+            "rise_fall": 32,
+            "trials": 1,
+        },
+    ),
+    "method-comparison": (
+        _exp_method_comparison,
+        {
+            "n": 128,
+            "m": 64,
+            "dict_kind": "dft",
+            "oversampling": 4,
+            "signal": "compressible",
+            "sigmas": (0.0,),
+            "trials": 5,
+            "s": 16,
+            "max_iter": 8000,
+        },
+    ),
 }
+EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def cmd_experiment(args) -> int:
@@ -573,7 +566,8 @@ def cmd_experiment(args) -> int:
 
     out = _out_dir(args.out or cfg.output_dir or None)
     (out / "config.txt").write_text(serialize_config(cfg))
-    paths = _EXPERIMENT_RUNNERS[cfg.experiment](cfg, out)
+    runner, _ = _EXPERIMENTS[cfg.experiment]
+    paths = runner(cfg, out)
     for p in [out / "config.txt"] + paths:
         sys.stdout.write(str(p) + "\n")
     return EXIT_OK

@@ -42,6 +42,8 @@ def signal_from_csv(text: str) -> Signal:
     header = dict(
         part.split("=", 1) for part in lines[0].lstrip("# ").split() if "=" in part
     )
+    if "n" not in header:
+        raise ValueError("signal header is missing the key 'n' ('# n=<len> ...')")
     rate = None if header.get("sample_rate") in (None, "none") else float(
         header["sample_rate"]
     )

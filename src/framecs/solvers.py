@@ -6,7 +6,9 @@ constraint ||A f - y||_2 <= eps.  They share one first-order primal-dual
 splitting (relaxed Chambolle-Pock) with one dual block per operator:
 the l1 term's conjugate prox is a per-coordinate modulus clip, the ball
 constraint's conjugate prox is a shifted shrinkage that handles eps = 0
-(affine constraint) without special casing.
+(affine constraint) without special casing.  The engine builds the
+constraint block itself from the measurement map, y and eps; each
+program supplies only its l1 blocks.
 
 The l1 norm of a complex vector is the sum of moduli throughout, so real
 problems and complex Gabor/DFT problems run through one code path.
@@ -17,12 +19,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .frames import Dictionary, frame_bounds
-from .linops import MATERIALIZATION_CAP, LinearOperator, power_iteration
+from .linops import MATERIALIZATION_CAP, power_iteration
 from .rng import make_rng
 from .sensing import SensingOperator
 from .signals import Signal
@@ -36,7 +38,6 @@ __all__ = [
     "l1_synthesis",
     "split_analysis",
     "soft_threshold",
-    "operator_norm_estimate",
     "lemma_audit",
 ]
 
@@ -154,28 +155,6 @@ def _ball_conjugate_prox(
     return u * max(0.0, 1.0 - sigma * eps / norm)
 
 
-def operator_norm_estimate(
-    K: LinearOperator | tuple[Callable, Callable, int],
-    iters: int = 100,
-    seed: int = 0,
-) -> float:
-    """Power-iteration estimate of the spectral norm ||K||.
-
-    Runs on K*K to a relative fixed point; accepts either a LinearOperator
-    or an (apply, adjoint, in_dim) triple.
-    """
-    if iters < 1:
-        raise ValueError("iters must be >= 1")
-    if isinstance(K, LinearOperator):
-        apply, adjoint, dim = K.apply, K.adjoint, K.in_dim
-    else:
-        apply, adjoint, dim = K
-    lam = power_iteration(
-        lambda v: adjoint(apply(v)), dim, make_rng(seed, stream=0x9090), iters
-    )
-    return math.sqrt(max(lam, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
@@ -185,7 +164,20 @@ class _DualBlock:
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint: Callable[[np.ndarray], np.ndarray]
     prox: Callable[[np.ndarray, float], np.ndarray]  # prox of sigma*H^*
-    dim: int
+
+
+class _Solve(NamedTuple):
+    """Final engine state.  kx and duals hold one entry per dual block,
+    the measurement constraint's last."""
+
+    x: np.ndarray
+    kx: list[np.ndarray]
+    objective: float
+    feasibility: float
+    iterations: int
+    converged: bool
+    history: list[tuple[float, float]] | None
+    duals: list[np.ndarray]
 
 
 _WINDOW = 10  # convergence window length (iterations)
@@ -197,23 +189,35 @@ _POWER_SEED = 0  # seeds the estimate's start vector
 def _pdhg(
     n_primal: int,
     blocks: Sequence[_DualBlock],
-    primal_prox: Callable[[np.ndarray, float], np.ndarray] | None,
-    objective: Callable[[np.ndarray, list[np.ndarray]], float],
-    feas_norm: Callable[[list[np.ndarray]], float],
+    K: Callable[[np.ndarray], np.ndarray],
+    K_adj: Callable[[np.ndarray], np.ndarray],
+    y: np.ndarray,
     eps: float,
-    y_norm: float,
+    objective: Callable[[np.ndarray, list[np.ndarray]], float],
     cfg: SolverConfig,
+    primal_prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
     x0: np.ndarray | None = None,
     duals0: list[np.ndarray] | None = None,
-):
-    """Relaxed primal-dual iteration for min G(x) + sum_b H_b(K_b x).
+) -> _Solve:
+    """Relaxed primal-dual iteration for
+    min G(x) + sum_b H_b(K_b x)  s.t.  ||K x - y||_2 <= eps.
 
-    Tracks K_b x incrementally so each iteration costs one apply and one
-    adjoint per block.  Convergence: the relative spread of objective and
+    The constraint is the last dual block, with the shifted-shrinkage
+    prox; its tracked image gives the feasibility ||K x - y||_2.  Tracks
+    K_b x incrementally so each iteration costs one apply and one adjoint
+    per block.  Convergence: the relative spread of objective and
     feasibility over a 10-iteration window falls below tol_rel while the
     iterate is eps-feasible within tol_feas.
     """
+    blocks = [
+        *blocks,
+        _DualBlock(K, K_adj, lambda v, sig: _ball_conjugate_prox(v, sig, y, eps)),
+    ]
+    y_norm = float(np.linalg.norm(y))
     tol_feas = cfg.tol_feas if cfg.tol_feas is not None else 1e-6 * y_norm
+
+    def feasibility(kx):
+        return float(np.linalg.norm(kx[-1] - y))
 
     def stack_apply(v):
         return [b.apply(v) for b in blocks]
@@ -235,11 +239,11 @@ def _pdhg(
 
     rho = cfg.over_relaxation
     x = np.zeros(n_primal, dtype=complex) if x0 is None else x0.astype(complex)
+    kx = stack_apply(x)
     if duals0 is None:
-        duals = [np.zeros(b.dim, dtype=complex) for b in blocks]
+        duals = [np.zeros_like(k, dtype=complex) for k in kx]
     else:
         duals = [p.astype(complex) for p in duals0]
-    kx = stack_apply(x)
 
     obj_win: deque[float] = deque(maxlen=_WINDOW + 1)
     feas_win: deque[float] = deque(maxlen=_WINDOW + 1)
@@ -248,7 +252,7 @@ def _pdhg(
     converged = False
     it = 0
     obj = objective(x, kx)
-    feas = feas_norm(kx)
+    feas = feasibility(kx)
     for it in range(1, cfg.max_iter + 1):
         grad = np.zeros(n_primal, dtype=complex)
         for b, p in zip(blocks, duals):
@@ -266,7 +270,7 @@ def _pdhg(
             kx = [v + rho * (vt - v) for v, vt in zip(kx, kx_t)]
 
         obj = objective(x, kx)
-        feas = feas_norm(kx)
+        feas = feasibility(kx)
         if history is not None:
             history.append((obj, feas))
         obj_win.append(obj)
@@ -280,7 +284,7 @@ def _pdhg(
                 converged = True
                 break
 
-    return x, kx, obj, feas, it, converged, history, duals
+    return _Solve(x, kx, obj, feas, it, converged, history, duals)
 
 
 # ---------------------------------------------------------------------------
@@ -341,49 +345,42 @@ def lemma_audit(
     )
 
 
-def _as_vector(y) -> np.ndarray:
-    return y.samples if isinstance(y, Signal) else np.asarray(y, dtype=complex)
-
-
-def _maybe_audit(A, D, reference, f_hat, eps, audit_s):
-    if reference is None:
-        return None
-    s = audit_s if audit_s is not None else max(1, A.m // 4)
-    return lemma_audit(A, D, reference, f_hat, eps, s)
+def _report(
+    method: str,
+    A: SensingOperator,
+    D: Dictionary,
+    d: int,
+    eps: float,
+    f_hat: Signal,
+    objective: float,
+    res: _Solve,
+    reference: np.ndarray | Signal | None,
+    audit_s: int | None,
+) -> RecoveryReport:
+    """The report of one solve.  Given a reference signal it carries the
+    lemma audit against D at s = audit_s (default m // 4)."""
+    diagnostics = None
+    if reference is not None:
+        s = audit_s if audit_s is not None else max(1, A.m // 4)
+        diagnostics = lemma_audit(A, D, reference, f_hat.samples, eps, s)
+    return RecoveryReport(
+        method=method,
+        n=A.n,
+        d=d,
+        m=A.m,
+        eps=float(eps),
+        f_hat=f_hat,
+        objective=objective,
+        feasibility=res.feasibility,
+        iterations=res.iterations,
+        converged=res.converged,
+        diagnostics=diagnostics,
+        history=res.history,
+    )
 
 
 # ---------------------------------------------------------------------------
 # the four programs
-
-
-def _analysis_core(A, D, y, eps, cfg, w, x0=None, duals0=None):
-    """One weighted analysis solve; returns the engine state for reuse."""
-    blocks = [
-        _DualBlock(
-            apply=D.adjoint,
-            adjoint=D.apply,
-            prox=lambda v, sig: _clip_modulus(v, w),
-            dim=D.d,
-        ),
-        _DualBlock(
-            apply=A.apply,
-            adjoint=A.adjoint,
-            prox=lambda v, sig: _ball_conjugate_prox(v, sig, y, eps),
-            dim=A.m,
-        ),
-    ]
-    return _pdhg(
-        n_primal=A.n,
-        blocks=blocks,
-        primal_prox=None,
-        objective=lambda _x, k: float(np.sum(w * np.abs(k[0]))),
-        feas_norm=lambda k: float(np.linalg.norm(k[1] - y)),
-        eps=eps,
-        y_norm=float(np.linalg.norm(y)),
-        cfg=cfg,
-        x0=x0,
-        duals0=duals0,
-    )
 
 
 def _check_inputs(A, y, eps, *dicts):
@@ -394,51 +391,10 @@ def _check_inputs(A, y, eps, *dicts):
             raise ValueError(
                 f"signal dimension mismatch: sensing n={A.n}, dict n={D.n}"
             )
-    y = _as_vector(y)
+    y = y.samples if isinstance(y, Signal) else np.asarray(y, dtype=complex)
     if y.shape != (A.m,):
         raise ValueError(f"y must have length m={A.m}, got {y.shape}")
     return y
-
-
-def l1_analysis(
-    A: SensingOperator,
-    D: Dictionary,
-    y: np.ndarray,
-    eps: float,
-    cfg: SolverConfig | None = None,
-    weights: np.ndarray | None = None,
-    x0: np.ndarray | None = None,
-    reference: np.ndarray | Signal | None = None,
-    audit_s: int | None = None,
-) -> RecoveryReport:
-    """min ||W D* f||_1  s.t.  ||A f - y||_2 <= eps  (W = diag weights).
-
-    Reports the unweighted ||D* fhat||_1 as the objective.  When a
-    reference signal is supplied the report carries the lemma audit.
-    """
-    cfg = cfg or SolverConfig()
-    y = _check_inputs(A, y, eps, D)
-    w = np.ones(D.d) if weights is None else np.asarray(weights, dtype=float)
-    if w.shape != (D.d,) or np.any(w <= 0):
-        raise ValueError("weights must be positive and of length d")
-    x, kx, _, feas, iters, converged, hist, _ = _analysis_core(
-        A, D, y, eps, cfg, w, x0=x0
-    )
-    f_hat = Signal(x, label="l1_analysis")
-    return RecoveryReport(
-        method="analysis",
-        n=A.n,
-        d=D.d,
-        m=A.m,
-        eps=float(eps),
-        f_hat=f_hat,
-        objective=float(np.sum(np.abs(kx[0]))),
-        feasibility=feas,
-        iterations=iters,
-        converged=converged,
-        diagnostics=_maybe_audit(A, D, reference, f_hat.samples, eps, audit_s),
-        history=hist,
-    )
 
 
 def reweight_weights(coeff_mags: np.ndarray, s: int) -> tuple[np.ndarray, float]:
@@ -457,6 +413,59 @@ def reweight_weights(coeff_mags: np.ndarray, s: int) -> tuple[np.ndarray, float]
     return 1.0 / (coeff_mags + delta), delta
 
 
+def _analysis(method, A, D, y, eps, cfg, rounds, s, reference, audit_s):
+    """`rounds` rounds of min ||W D* f||_1 s.t. ||A f - y||_2 <= eps, as
+    reweighted_l1_analysis describes; reports the unweighted ||D* fhat||_1."""
+    cfg = cfg or SolverConfig()
+    y = _check_inputs(A, y, eps, D)
+    s = s if s is not None else max(1, A.m // 4)
+    w = np.ones(D.d)
+    res = duals = None
+    for r in range(rounds):
+        if r:
+            w, _ = reweight_weights(np.abs(res.kx[0]), s)
+            # re-entering with new weights: shrink dual coordinates that now
+            # exceed their box so the warm start stays dual-feasible
+            duals = [_clip_modulus(res.duals[0], w), res.duals[1]]
+        res = _pdhg(
+            n_primal=A.n,
+            blocks=[
+                _DualBlock(D.adjoint, D.apply, lambda v, sig, w=w: _clip_modulus(v, w))
+            ],
+            K=A.apply,
+            K_adj=A.adjoint,
+            y=y,
+            eps=eps,
+            objective=lambda _x, k, w=w: float(np.sum(w * np.abs(k[0]))),
+            cfg=cfg,
+            x0=None if res is None else res.x,
+            duals0=duals,
+        )
+    label = "l1_analysis" if method == "analysis" else "reweighted_l1_analysis"
+    objective = float(np.sum(np.abs(res.kx[0])))
+    return _report(
+        method, A, D, D.d, eps, Signal(res.x, label=label), objective, res,
+        reference, audit_s,
+    )
+
+
+def l1_analysis(
+    A: SensingOperator,
+    D: Dictionary,
+    y: np.ndarray,
+    eps: float,
+    cfg: SolverConfig | None = None,
+    reference: np.ndarray | Signal | None = None,
+    audit_s: int | None = None,
+) -> RecoveryReport:
+    """min ||D* f||_1  s.t.  ||A f - y||_2 <= eps: the first round of
+    reweighted_l1_analysis.
+
+    When a reference signal is supplied the report carries the lemma audit.
+    """
+    return _analysis("analysis", A, D, y, eps, cfg, 1, None, reference, audit_s)
+
+
 def reweighted_l1_analysis(
     A: SensingOperator,
     D: Dictionary,
@@ -473,37 +482,13 @@ def reweighted_l1_analysis(
     Round 1 uses uniform weights (identical to l1_analysis); each later
     round reweights by the previous solution's analysis coefficients (see
     reweight_weights; s defaults to m // 4) and warm-starts from the
-    previous primal/dual state.
+    previous primal/dual state.  The objective reported is the unweighted
+    ||D* fhat||_1.
     """
     if rw_iters < 1:
         raise ValueError("rw_iters must be >= 1")
-    cfg = cfg or SolverConfig()
-    y = _check_inputs(A, y, eps, D)
-    s_eff = s if s is not None else max(1, A.m // 4)
-    w = np.ones(D.d)
-    x = duals = None
-    for _ in range(rw_iters):
-        x, kx, _, feas, iters, converged, hist, duals = _analysis_core(
-            A, D, y, eps, cfg, w, x0=x, duals0=duals
-        )
-        w, _ = reweight_weights(np.abs(kx[0]), s_eff)
-        # re-entering with new weights: shrink dual coordinates that now
-        # exceed their box so the warm start stays dual-feasible
-        duals = [_clip_modulus(duals[0], w), duals[1]]
-    f_hat = Signal(x, label="reweighted_l1_analysis")
-    return RecoveryReport(
-        method="reweighted",
-        n=A.n,
-        d=D.d,
-        m=A.m,
-        eps=float(eps),
-        f_hat=f_hat,
-        objective=float(np.sum(np.abs(kx[0]))),
-        feasibility=feas,
-        iterations=iters,
-        converged=converged,
-        diagnostics=_maybe_audit(A, D, reference, f_hat.samples, eps, audit_s),
-        history=hist,
+    return _analysis(
+        "reweighted", A, D, y, eps, cfg, rw_iters, s, reference, audit_s
     )
 
 
@@ -520,41 +505,22 @@ def l1_synthesis(
     with fhat = D xhat.  The report objective is ||xhat||_1."""
     cfg = cfg or SolverConfig()
     y = _check_inputs(A, y, eps, D)
-
-    blocks = [
-        _DualBlock(
-            apply=lambda v: A.apply(D.apply(v)),
-            adjoint=lambda q: D.adjoint(A.adjoint(q)),
-            prox=lambda v, sig: _ball_conjugate_prox(v, sig, y, eps),
-            dim=A.m,
-        )
-    ]
-    x, kx, obj, feas, iters, converged, hist, _ = _pdhg(
+    res = _pdhg(
         n_primal=D.d,
-        blocks=blocks,
-        primal_prox=lambda v, tau: soft_threshold(v, tau),
-        objective=lambda xx, _k: float(np.sum(np.abs(xx))),
-        feas_norm=lambda k: float(np.linalg.norm(k[0] - y)),
+        blocks=[],
+        K=lambda v: A.apply(D.apply(v)),
+        K_adj=lambda q: D.adjoint(A.adjoint(q)),
+        y=y,
         eps=eps,
-        y_norm=float(np.linalg.norm(y)),
+        objective=lambda x, _k: float(np.sum(np.abs(x))),
         cfg=cfg,
+        primal_prox=lambda v, tau: soft_threshold(v, tau),
     )
-    f_hat = Signal(D.apply(x), label="l1_synthesis")
-    report = RecoveryReport(
-        method="synthesis",
-        n=A.n,
-        d=D.d,
-        m=A.m,
-        eps=float(eps),
-        f_hat=f_hat,
-        objective=obj,
-        feasibility=feas,
-        iterations=iters,
-        converged=converged,
-        diagnostics=_maybe_audit(A, D, reference, f_hat.samples, eps, audit_s),
-        history=hist,
+    f_hat = Signal(D.apply(res.x), label="l1_synthesis")
+    report = _report(
+        "synthesis", A, D, D.d, eps, f_hat, res.objective, res, reference, audit_s
     )
-    return report, x
+    return report, res.x
 
 
 def _range_projector(D: Dictionary) -> np.ndarray | None:
@@ -605,8 +571,6 @@ def split_analysis(
     proj2 = _range_projector(D2)
 
     def primal_prox(z, _tau):
-        if proj1 is None and proj2 is None:
-            return z
         out = z.copy()
         if proj1 is not None:
             out[:n] = proj1 @ z[:n]
@@ -614,61 +578,35 @@ def split_analysis(
             out[n:] = proj2 @ z[n:]
         return out
 
-    def pad_first(v):
-        out = np.zeros(2 * n, dtype=complex)
-        out[:n] = v
-        return out
-
-    def pad_second(v):
-        out = np.zeros(2 * n, dtype=complex)
-        out[n:] = v
-        return out
-
-    blocks = [
-        _DualBlock(
-            apply=lambda z: D1.adjoint(z[:n]),
-            adjoint=lambda p: pad_first(D1.apply(p)),
-            prox=lambda v, sig: _clip_modulus(v, 1.0),
-            dim=D1.d,
-        ),
-        _DualBlock(
-            apply=lambda z: D2.adjoint(z[n:]),
-            adjoint=lambda p: pad_second(D2.apply(p)),
-            prox=lambda v, sig: _clip_modulus(v, 1.0),
-            dim=D2.d,
-        ),
-        _DualBlock(
-            apply=lambda z: A.apply(z[:n] + z[n:]),
-            adjoint=lambda q: np.tile(A.adjoint(q), 2),
-            prox=lambda v, sig: _ball_conjugate_prox(v, sig, y, eps),
-            dim=A.m,
-        ),
-    ]
-    z, kx, obj, feas, iters, converged, hist, _ = _pdhg(
+    zeros = np.zeros(n, dtype=complex)
+    res = _pdhg(
         n_primal=2 * n,
-        blocks=blocks,
-        primal_prox=primal_prox if (proj1 is not None or proj2 is not None) else None,
-        objective=lambda _z, k: float(np.sum(np.abs(k[0])) + np.sum(np.abs(k[1]))),
-        feas_norm=lambda k: float(np.linalg.norm(k[2] - y)),
+        blocks=[
+            _DualBlock(
+                apply=lambda z: D1.adjoint(z[:n]),
+                adjoint=lambda p: np.concatenate([D1.apply(p), zeros]),
+                prox=lambda v, sig: _clip_modulus(v, 1.0),
+            ),
+            _DualBlock(
+                apply=lambda z: D2.adjoint(z[n:]),
+                adjoint=lambda p: np.concatenate([zeros, D2.apply(p)]),
+                prox=lambda v, sig: _clip_modulus(v, 1.0),
+            ),
+        ],
+        K=lambda z: A.apply(z[:n] + z[n:]),
+        K_adj=lambda q: np.tile(A.adjoint(q), 2),
+        y=y,
         eps=eps,
-        y_norm=float(np.linalg.norm(y)),
+        objective=lambda _z, k: float(np.sum(np.abs(k[0])) + np.sum(np.abs(k[1]))),
         cfg=cfg,
+        primal_prox=primal_prox if (proj1 is not None or proj2 is not None) else None,
     )
+    z = res.x
     f1 = Signal(z[:n], label="split_analysis_f1")
     f2 = Signal(z[n:], label="split_analysis_f2")
     f_hat = Signal(z[:n] + z[n:], label="split_analysis")
-    report = RecoveryReport(
-        method="split",
-        n=A.n,
-        d=D1.d + D2.d,
-        m=A.m,
-        eps=float(eps),
-        f_hat=f_hat,
-        objective=obj,
-        feasibility=feas,
-        iterations=iters,
-        converged=converged,
-        diagnostics=_maybe_audit(A, D1, reference, f_hat.samples, eps, audit_s),
-        history=hist,
+    report = _report(
+        "split", A, D1, D1.d + D2.d, eps, f_hat, res.objective, res, reference,
+        audit_s,
     )
     return report, f1, f2

@@ -53,6 +53,21 @@ class TestRecover:
         assert code == 1
         assert "mismatch" in err and "16" in err and "32" in err
 
+    @pytest.mark.parametrize("audit_s", ["0", "-1"])
+    def test_audit_s_below_one_exits_1_before_solving(
+        self, tmp_path, capsys, audit_s
+    ):
+        code, out, err = run_cli(
+            ["recover", "--method", "analysis", "--dict", "identity",
+             "--n", "16", "--m", "8", "--audit-s", audit_s,
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert f"framecs: error: --audit-s must be >= 1, got {audit_s}" in err
+        assert not (tmp_path / "o").exists()
+
     def test_byte_identical_reruns(self, tmp_path, capsys):
         args = ["recover", "--method", "analysis", "--dict", "concat-if",
                 "--n", "36", "--m", "20", "--signal", "dirac",

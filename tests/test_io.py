@@ -39,6 +39,11 @@ def test_signal_header_required():
         signal_from_csv("1.0,2.0\n")
 
 
+def test_signal_header_without_n_is_a_value_error():
+    with pytest.raises(ValueError, match="missing the key 'n'"):
+        signal_from_csv("# sample_rate=none\n1.0,0.0\n")
+
+
 def test_signal_length_mismatch_detected():
     bad = "# n=3 sample_rate=none\n1.0,0.0\n"
     with pytest.raises(ValueError, match="n=3"):

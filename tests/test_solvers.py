@@ -11,6 +11,7 @@ from framecs.frames import (
     build_oversampled_dft,
     from_matrix,
 )
+from framecs.linops import power_iteration
 from framecs.rng import make_rng
 from framecs.sensing import SensingOperator, gaussian_sensing, measure
 from framecs.signals import Signal, dirac_comb, metrics
@@ -19,7 +20,6 @@ from framecs.solvers import (
     l1_analysis,
     l1_synthesis,
     lemma_audit,
-    operator_norm_estimate,
     reweight_weights,
     reweighted_l1_analysis,
     soft_threshold,
@@ -61,25 +61,29 @@ class TestProxPrimitives:
             soft_threshold(np.array([1.0]), -0.5)
 
 
+def operator_norm(apply, adjoint, dim, iters):
+    """||K|| from the power iteration on K*K, started as the engine does."""
+    lam = power_iteration(
+        lambda v: adjoint(apply(v)), dim, make_rng(0, stream=0x9090), iters
+    )
+    return math.sqrt(lam)
+
+
 class TestOperatorNorm:
     def test_scaled_identity(self):
-        est = operator_norm_estimate(
-            (lambda v: 3.0 * v, lambda v: 3.0 * v, 10), iters=50
-        )
+        est = operator_norm(lambda v: 3.0 * v, lambda v: 3.0 * v, 10, iters=50)
         assert est == pytest.approx(3.0, abs=1e-6)
 
     def test_unitary(self):
         F = build_oversampled_dft(16, 1)
-        est = operator_norm_estimate(F, iters=50)
+        est = operator_norm(F.apply, F.adjoint, F.in_dim, iters=50)
         assert est == pytest.approx(1.0, abs=1e-6)
 
     def test_random_dense_matches_svd(self):
         rng = make_rng(12)
         M = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         top = np.linalg.svd(M, compute_uv=False)[0]
-        est = operator_norm_estimate(
-            (lambda v: M @ v, lambda y: M.conj().T @ y, 10), iters=500
-        )
+        est = operator_norm(lambda v: M @ v, lambda y: M.conj().T @ y, 10, iters=500)
         assert est == pytest.approx(top, rel=1e-4)
 
 
@@ -185,6 +189,33 @@ class TestL1Analysis:
         assert rep.converged
         tol_feas = 1e-6 * np.linalg.norm(y)
         assert rep.feasibility <= znorm + tol_feas
+
+
+PROGRAMS = {
+    "analysis": lambda A, D, y, eps, cfg: l1_analysis(A, D, y, eps, cfg=cfg),
+    "reweighted": lambda A, D, y, eps, cfg: reweighted_l1_analysis(
+        A, D, y, eps, cfg=cfg
+    ),
+    "synthesis": lambda A, D, y, eps, cfg: l1_synthesis(A, D, y, eps, cfg=cfg)[0],
+    "split": lambda A, D, y, eps, cfg: split_analysis(
+        A, D, build_identity(A.n), y, eps, cfg=cfg
+    )[0],
+}
+
+
+@pytest.mark.parametrize("method", sorted(PROGRAMS))
+def test_reported_feasibility_is_the_constraint_residual(method):
+    # the engine tracks ||A f - y|| incrementally; the report must still
+    # agree with the residual of the returned signal
+    n, m = 32, 20
+    D = build_oversampled_dft(n, 2)
+    A = gaussian_sensing(m, n, seed=8)
+    y, znorm = measure(A, make_rng(1).standard_normal(n) + 0j, 0.1, seed=5)
+    cfg = SolverConfig(max_iter=2000, over_relaxation=1.8)
+    rep = PROGRAMS[method](A, D, y, znorm, cfg)
+    assert rep.method == method
+    residual = np.linalg.norm(A.apply(rep.f_hat.samples) - y)
+    assert abs(rep.feasibility - residual) <= 1e-10 * np.linalg.norm(y)
 
 
 class TestReweighted:
