@@ -174,7 +174,8 @@ def build_dictionary(kind: str, n: int, cfg_like) -> Dictionary:
     if kind == "identity":
         return build_identity(n)
     if kind == "dft":
-        return build_oversampled_dft(n, cfg_like.oversampling or 1)
+        c = cfg_like.oversampling
+        return build_oversampled_dft(n, 1 if c is None else c)
     if kind == "concat-if":
         return build_concat(
             build_identity(n), build_oversampled_dft(n, 1), 1.0 / math.sqrt(2.0)

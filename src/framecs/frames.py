@@ -75,12 +75,12 @@ def build_oversampled_dft(n: int, c: int = 1) -> Dictionary:
 
     def apply(x: np.ndarray) -> np.ndarray:
         # Dx is the leading n outputs of the length-d forward DFT of x.
-        return np.fft.fft(x)[:n] / root
+        return np.fft.fft(x, axis=0)[:n] / root
 
     def adjoint(f: np.ndarray) -> np.ndarray:
-        z = np.zeros(d, dtype=complex)
+        z = np.zeros((d, *f.shape[1:]), dtype=complex)
         z[:n] = f
-        return np.fft.ifft(z) * root
+        return np.fft.ifft(z, axis=0) * root
 
     return Dictionary(n, d, apply, adjoint, kind="oversampled_dft", tight=True)
 
@@ -148,36 +148,44 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
         w_qap = np.ascontiguousarray(w3.transpose(1, 0, 2))  # [tau, alpha, k2]
         w_qpa = np.ascontiguousarray(w3.transpose(1, 2, 0))  # [tau, k2, alpha]
 
+        # A block's k columns ride along as a trailing axis (``cols``, empty
+        # for a vector), so they widen the GEMMs instead of repeating them.
         def apply(x: np.ndarray) -> np.ndarray:
-            coef = np.ascontiguousarray(x.reshape(n_time, n_freq).T)  # [k1, k2]
+            cols = x.shape[1:]
+            coef = x.reshape(n_time, n_freq, *cols).swapaxes(0, 1)
+            coef = np.ascontiguousarray(coef)  # [k1, k2, (col)]
             # ctab[tau, k2] = sum_k1 coef[k1, k2] e^{2 pi i k1 tau / Q}
             ctab = np.fft.ifft(coef, axis=0) * q_int
-            cv = ctab.view(np.float64).reshape(q_int, n_time, 2)
-            out = np.matmul(w_qap, cv)  # [tau, alpha, 2]
+            cv = ctab.view(np.float64).reshape(q_int, n_time, -1)
+            out = np.matmul(w_qap, cv)  # [tau, alpha, 2 * (col)]
             out = np.ascontiguousarray(out.transpose(1, 0, 2)).view(np.complex128)
-            return out.reshape(n_alpha * q_int)[:n] / gnorm
+            return out.reshape(n_alpha * q_int, *cols)[:n] / gnorm
 
         def adjoint(f: np.ndarray) -> np.ndarray:
+            cols = f.shape[1:]
             if pad:
-                f = np.concatenate([f, np.zeros(pad, dtype=complex)])
-            fv = np.ascontiguousarray(f.reshape(n_alpha, q_int).T)
-            fv = fv.view(np.float64).reshape(q_int, n_alpha, 2)
-            folded = np.matmul(w_qpa, fv).view(np.complex128)[:, :, 0]  # [tau, k2]
-            coef = np.fft.fft(folded, axis=0)  # [k1, k2]
-            return (coef.T / gnorm).reshape(d)
+                f = np.concatenate([f, np.zeros((pad, *cols), dtype=complex)])
+            fv = np.ascontiguousarray(f.reshape(n_alpha, q_int, *cols).swapaxes(0, 1))
+            fv = fv.view(np.float64).reshape(q_int, n_alpha, -1)
+            folded = np.matmul(w_qpa, fv).view(np.complex128)
+            folded = folded.reshape(q_int, n_time, *cols)  # [tau, k2, (col)]
+            coef = np.fft.fft(folded, axis=0)  # [k1, k2, (col)]
+            return (coef.swapaxes(0, 1) / gnorm).reshape(d, *cols)
 
     else:
         ramps = np.exp(2j * np.pi * b * np.outer(np.arange(n_freq), t))
 
+        # x.T puts a block's columns first (and leaves a vector alone), so
+        # the matmuls below run once per column as a stack.
         def apply(x: np.ndarray) -> np.ndarray:
-            coef = x.reshape(n_time, n_freq)  # [k2, k1]
-            mod = coef @ ramps  # [k2, t]
-            return np.einsum("tp,pt->t", windows, mod) / gnorm
+            coef = x.T.reshape(*x.shape[1:], n_time, n_freq)  # [(col), k2, k1]
+            mod = coef @ ramps  # [(col), k2, t]
+            return np.einsum("tp,...pt->t...", windows, mod) / gnorm
 
         def adjoint(f: np.ndarray) -> np.ndarray:
-            u = windows * f[:, None]  # [t, k2]
-            coef = ramps.conj() @ u  # [k1, k2]
-            return (coef.T / gnorm).reshape(d)
+            u = windows * f.T[..., :, None]  # [(col), t, k2]
+            coef = ramps.conj() @ u  # [(col), k1, k2]
+            return (coef.T / gnorm).reshape(d, *f.shape[1:])
 
     return Dictionary(n, d, apply, adjoint, kind="gabor", tight=False)
 

@@ -5,6 +5,19 @@ matching (apply, adjoint) pair.  Everything downstream (solvers, D-RIP
 estimation, frame analysis) only touches these two methods, so structured
 operators keep their fast paths and dense ones stay trivial.
 
+Block contract: ``apply`` takes a length-in_dim vector, shape
+``(in_dim,)``, or a block of k such vectors as columns, shape
+``(in_dim, k)``, and returns ``(out_dim,)`` or ``(out_dim, k)``;
+``adjoint`` likewise with the dimensions swapped.  Column j of a block
+result is the operator applied to column j, to roundoff: a vector keeps
+the exact arithmetic of a one-vector call, and a ``(dim, 1)`` block gives
+the same bits as the vector.  Every operator the package builds applies a
+block in one call (the Gabor fast path, for instance, runs its FFTs and
+window contractions over all columns at once).  A callable written for
+vectors only is still accepted: when it rejects a block (raises
+ValueError or returns the wrong shape), the block is applied one column
+at a time.
+
 Operators are immutable after construction; the dense cache is the only
 lazily filled field and is a pure function of the operator.
 """
@@ -37,6 +50,7 @@ class LinearOperator:
     apply, adjoint : callable
         The forward map and its conjugate transpose.  ``adjoint`` must
         satisfy <apply(u), v> == <u, adjoint(v)> exactly up to roundoff.
+        Both receive a vector or a ``(dim, k)`` block (module docstring).
     """
 
     def __init__(
@@ -56,19 +70,15 @@ class LinearOperator:
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=complex)
-        if x.shape != (self.in_dim,):
-            raise ValueError(
-                f"apply expects a length-{self.in_dim} vector, got shape {x.shape}"
-            )
-        return self._apply(x)
+        if x.shape == (self.in_dim,):
+            return self._apply(x)
+        return _block_call(self._apply, x, self.in_dim, self.out_dim, "apply")
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
         y = np.asarray(y, dtype=complex)
-        if y.shape != (self.out_dim,):
-            raise ValueError(
-                f"adjoint expects a length-{self.out_dim} vector, got shape {y.shape}"
-            )
-        return self._adjoint(y)
+        if y.shape == (self.out_dim,):
+            return self._adjoint(y)
+        return _block_call(self._adjoint, y, self.out_dim, self.in_dim, "adjoint")
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -95,6 +105,24 @@ class LinearOperator:
             e[j] = 0.0
         self._dense_cache = cols
         return cols
+
+
+def _block_call(fn, x: np.ndarray, dim: int, out_dim: int, name: str) -> np.ndarray:
+    """fn applied to a (dim, k) block; any other shape is an error."""
+    if x.ndim != 2 or x.shape[0] != dim:
+        raise ValueError(
+            f"{name} expects a ({dim},) vector or a ({dim}, k) block, "
+            f"got shape {x.shape}"
+        )
+    try:
+        out = fn(x)
+    except ValueError:  # a callable written for vectors only
+        out = None
+    if out is None or np.shape(out) != (out_dim, x.shape[1]):
+        out = np.empty((out_dim, x.shape[1]), dtype=complex)
+        for j in range(x.shape[1]):
+            out[:, j] = fn(x[:, j])
+    return out
 
 
 def adjoint_mismatch(

@@ -53,6 +53,18 @@ class SensingOperator(LinearOperator):
         )
 
 
+def _parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of v as real BLAS operands.
+
+    A vector's strided views go straight to matvecs.  numpy multiplies a
+    strided 2-d operand without BLAS, so a block's parts are copied
+    contiguous.
+    """
+    if v.ndim == 1:
+        return v.real, v.imag
+    return np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
+
+
 def _dense_operator(M: np.ndarray, kind: str, seed: int) -> SensingOperator:
     is_complex = bool(np.iscomplexobj(M))
     if is_complex:
@@ -65,15 +77,17 @@ def _dense_operator(M: np.ndarray, kind: str, seed: int) -> SensingOperator:
             return Mh @ y
 
     else:
-        # Split complex inputs so BLAS runs real matvecs instead of
+        # Split complex inputs so BLAS runs real products instead of
         # promoting the matrix on every call.
         Mt = np.ascontiguousarray(M.T)
 
         def apply(v):
-            return (M @ v.real) + 1j * (M @ v.imag)
+            re, im = _parts(v)
+            return (M @ re) + 1j * (M @ im)
 
         def adjoint(y):
-            return (Mt @ y.real) + 1j * (Mt @ y.imag)
+            re, im = _parts(y)
+            return (Mt @ re) + 1j * (Mt @ im)
 
     op = SensingOperator(
         m=M.shape[0],
@@ -118,13 +132,15 @@ def subsampled_dft_sign(m: int, n: int, seed: int) -> SensingOperator:
     signs = 2.0 * rng.integers(0, 2, size=n) - 1.0
     scale = math.sqrt(n / m) / math.sqrt(n)  # row scale * unitary DFT norm
 
+    # signs scale the rows of v: (signs * v.T).T broadcasts them down the
+    # columns of a block and is plain signs * v for a vector.
     def apply(v: np.ndarray) -> np.ndarray:
-        return np.fft.fft(signs * v)[rows] * scale
+        return np.fft.fft((signs * v.T).T, axis=0)[rows] * scale
 
     def adjoint(y: np.ndarray) -> np.ndarray:
-        z = np.zeros(n, dtype=complex)
+        z = np.zeros((n, *y.shape[1:]), dtype=complex)
         z[rows] = y
-        return signs * np.fft.ifft(z) * (n * scale)
+        return (signs * np.fft.ifft(z, axis=0).T).T * (n * scale)
 
     op = SensingOperator(
         m, n, apply, adjoint, kind="subsampled_dft_sign", seed=seed, is_complex=True

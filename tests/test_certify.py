@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from framecs import certify
 from framecs.certify import (
     concentration_check,
     drip_exact_small,
@@ -19,7 +21,7 @@ from framecs.frames import (
     from_matrix,
     tighten,
 )
-from framecs.rng import make_rng
+from framecs.rng import make_rng, split_seed
 from framecs.sensing import SensingOperator, gaussian_sensing, subsampled_dft_sign
 from framecs.signals import dirac_comb
 from framecs.solvers import SolverConfig, l1_analysis
@@ -145,6 +147,137 @@ class TestDripExact:
         est = drip_exact_small(A, D, s=2)
         # worst 2-subset spans at most {e0, e1}: sigma_min^2 = 0.49
         assert est.delta_hat == pytest.approx(1 - 0.49, rel=1e-12)
+
+
+def per_trial_ratios(A, D, s, trials, seed):
+    """Monte Carlo ratios one trial at a time, each from make_rng(seed, t),
+    redrawing v = 0; also how many trials needed a redraw."""
+    ratios, redrawn = [], 0
+    for t in range(trials):
+        rng = make_rng(seed, t)
+        for draw in range(64):
+            support = rng.choice(D.d, size=s, replace=False)
+            x = np.zeros(D.d, dtype=complex)
+            x[support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+            v = D.apply(x)
+            if np.linalg.norm(v) > 0.0:
+                break
+        redrawn += draw > 0
+        ratios.append(np.linalg.norm(A.apply(v)) ** 2 / np.linalg.norm(v) ** 2)
+    return np.array(ratios), redrawn
+
+
+def per_support_extremes(A, D, s):
+    """Exact enumeration one support at a time: (smin^2, smax^2) of each
+    support of nonzero rank, in itertools.combinations order."""
+    M, Adense = D.dense(), A.dense()
+    out = []
+    for support in itertools.combinations(range(D.d), s):
+        cols = M[:, list(support)]
+        u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+        basis = u[:, sv > max(cols.shape) * np.finfo(float).eps * sv[0]]
+        if basis.shape[1] == 0:
+            continue
+        sub_sv = np.linalg.svd(Adense @ basis, compute_uv=False)
+        out.append((float(sub_sv[-1] ** 2), float(sub_sv[0] ** 2)))
+    return out
+
+
+def degenerate_dictionary():
+    """6 x 8 frame whose atom 3 repeats atom 1 and whose atom 5 is zero."""
+    M = make_rng(21).standard_normal((6, 8)) + 0j
+    M[:, 3] = M[:, 1]
+    M[:, 5] = 0.0
+    return from_matrix(M)
+
+
+class TestDripMonteCarloBlocks:
+    @pytest.mark.parametrize("budget", [None, 4 * 16 * (16 + 8 + 6)])
+    def test_matches_per_trial_reference(self, monkeypatch, budget):
+        # budget: the module's, or 4 trials per block (10 = 4 + 4 + 2)
+        if budget is not None:
+            monkeypatch.setattr(certify, "BLOCK_BYTES", budget)
+        A, D = pinned_instance()
+        est = drip_monte_carlo(A, D, s=2, trials=10, seed=5, details=True)
+        ref, _ = per_trial_ratios(A, D, 2, 10, 5)
+        assert np.allclose(est.details, ref, rtol=1e-12, atol=0.0)
+        assert est.delta_hat == pytest.approx(np.max(np.abs(ref - 1.0)), rel=1e-12)
+        assert est.trials == 10
+
+    def test_gabor_matches_per_trial_reference(self):
+        D = build_gabor(64, 8.0, 8, 1 / 32)
+        A = gaussian_sensing(32, 64, seed=1)
+        est = drip_monte_carlo(A, D, s=4, trials=300, seed=1, details=True)
+        ref, _ = per_trial_ratios(A, D, 4, 300, 1)
+        assert np.allclose(est.details, ref, rtol=1e-12, atol=0.0)
+
+    def test_ratio_does_not_depend_on_block_position(self, monkeypatch):
+        # 4 trials per block: each run ends on a block of 1 to 4 trials
+        D = build_gabor(64, 8.0, 8, 1 / 32)
+        A = gaussian_sensing(32, 64, seed=1)
+        monkeypatch.setattr(certify, "BLOCK_BYTES", 4 * 16 * (256 + 64 + 32))
+        full = drip_monte_carlo(A, D, s=4, trials=12, seed=8, details=True)
+        for trials in range(1, 12):
+            part = drip_monte_carlo(A, D, s=4, trials=trials, seed=8, details=True)
+            assert part.details == full.details[:trials]
+
+    def test_zero_atom_forces_the_redraw_path(self):
+        D = degenerate_dictionary()
+        A = gaussian_sensing(4, 6, seed=2)
+        est = drip_monte_carlo(A, D, s=1, trials=40, seed=3, details=True)
+        ref, redrawn = per_trial_ratios(A, D, 1, 40, 3)
+        assert redrawn > 0
+        assert np.allclose(est.details, ref, rtol=1e-12, atol=0.0)
+        assert est.delta_hat == pytest.approx(np.max(np.abs(ref - 1.0)), rel=1e-12)
+
+
+class TestDripExactChunks:
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_degenerate_atoms_match_per_support_reference(self, monkeypatch, s, chunk):
+        # C(8, s) = 8, 28, 56 supports: none a multiple of 5
+        D = degenerate_dictionary()
+        A = gaussian_sensing(4, 6, seed=2)
+        if chunk is not None:
+            monkeypatch.setattr(certify, "BLOCK_BYTES", chunk * 16 * s * (2 * 6 + 4))
+        est = drip_exact_small(A, D, s, details=True)
+        ref = per_support_extremes(A, D, s)
+        assert est.trials == len(ref)
+        assert est.details == ref
+        assert est.delta_hat == max(max(hi - 1.0, 1.0 - lo) for lo, hi in ref)
+
+    def test_zero_atom_support_is_skipped(self):
+        D = degenerate_dictionary()
+        A = gaussian_sensing(4, 6, seed=2)
+        assert drip_exact_small(A, D, 1).trials == 7
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_pinned_instance_matches_per_support_reference(self, monkeypatch, s):
+        monkeypatch.setattr(certify, "BLOCK_BYTES", 7 * 16 * s * (2 * 8 + 6))
+        A, D = pinned_instance()
+        est = drip_exact_small(A, D, s, details=True)
+        ref = per_support_extremes(A, D, s)
+        assert est.trials == len(ref) == math.comb(16, s)
+        assert est.details == ref
+        assert est.delta_hat == max(max(hi - 1.0, 1.0 - lo) for lo, hi in ref)
+
+    def test_certify_workload_instance_bit_for_bit(self):
+        # the benchmark's identity + DFT instance; one of its 496 supports
+        # squares differently as an array than as a scalar
+        D = build_concat(build_identity(16), build_oversampled_dft(16, 1),
+                         1 / math.sqrt(2))
+        A = gaussian_sensing(12, 16, seed=split_seed(1, 1))
+        est = drip_exact_small(A, D, 2, details=True)
+        assert est.details == per_support_extremes(A, D, 2)
+
+    def test_enumeration_cap_message(self):
+        A, D = pinned_instance()
+        with pytest.raises(ValueError) as err:
+            drip_exact_small(A, D, s=8, cap=1000)
+        assert str(err.value) == (
+            "C(16,8) = 12870 supports exceed the enumeration cap (1000); "
+            "use drip_monte_carlo instead"
+        )
 
 
 class TestConcentration:

@@ -147,6 +147,18 @@ class TestRecover:
         assert code == 0 and json.loads(out)["method"] == "split"
 
 
+    def test_oversampling_zero_exits_1(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["recover", "--method", "analysis", "--dict", "dft",
+             "--oversampling", "0", "--n", "16", "--m", "8",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert "oversampling factor c must be >= 1" in err
+        assert not (tmp_path / "report.json").exists()
+
+
 class TestExperimentCommand:
     def test_constants_contains_paper_rows(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -206,6 +218,18 @@ class TestExperimentCommand:
         assert code == 0
         text = (tmp_path / "o" / "config.txt").read_text()
         assert "trials = 1" in text and "n = 36" in text
+
+    def test_config_oversampling_zero_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("oversampling = 0\n")
+        code, _, err = run_cli(
+            ["experiment", "method-comparison", "--config", str(cfg),
+             "--n", "16", "--m", "8", "--trials", "1",
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 1
+        assert "oversampling factor c must be >= 1" in err
 
     def test_radar_emits_time_freq_and_summary(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -300,6 +324,16 @@ class TestCertifyCommand:
         )
         assert code == 2
         assert "drip-mc" in err
+
+    def test_oversampling_zero_exits_1(self, capsys):
+        code, out, err = run_cli(
+            ["certify", "drip-exact", "--dict", "dft", "--n", "8", "--m", "6",
+             "--s", "2", "--oversampling", "0"],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "oversampling factor c must be >= 1" in err
 
     def test_concentration_rate(self, capsys):
         code, out, _ = run_cli(
