@@ -305,6 +305,12 @@ def cmd_recover(args) -> int:
 # experiments
 
 
+def _convergence(*reports) -> tuple[int, ...]:
+    """Table columns: each report's converged flag (0/1), then each one's
+    iteration count (a reweighted solve's last round)."""
+    return (*(int(r.converged) for r in reports), *(r.iterations for r in reports))
+
+
 def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
     scfg = _solver_config(cfg)
@@ -327,6 +333,8 @@ def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
                 (
                     metrics(plain.f_hat, f)["relative_error"],
                     metrics(rw.f_hat, f)["relative_error"],
+                    int(plain.converged),
+                    int(rw.converged),
                 )
             )
         return errs
@@ -336,9 +344,12 @@ def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
     for li, nu in enumerate(cfg.sigmas):
         plain_mean = sum(r[li][0] for r in results) / cfg.trials
         rw_mean = sum(r[li][1] for r in results) / cfg.trials
-        rows.append((float(nu), plain_mean, rw_mean))
+        counts = (sum(r[li][2] for r in results), sum(r[li][3] for r in results))
+        rows.append((float(nu), plain_mean, rw_mean, *counts))
     path = out / "noise_curve.csv"
-    path.write_text(fio.table_to_csv("sigma_rel,err_plain,err_rw", rows))
+    path.write_text(fio.table_to_csv(
+        "sigma_rel,err_plain,err_rw,converged_plain,converged_rw", rows
+    ))
     return [path]
 
 
@@ -361,12 +372,14 @@ def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
     for t, (f, plain, rw) in enumerate(results):
         mp, mw = metrics(plain.f_hat, f), metrics(rw.f_hat, f)
         rows.append(
-            (t, mp["rmse"], mw["rmse"], mp["relative_error"], mw["relative_error"])
+            (t, mp["rmse"], mw["rmse"], mp["relative_error"], mw["relative_error"],
+             *_convergence(plain, rw))
         )
     summary = out / "radar_summary.csv"
-    summary.write_text(
-        fio.table_to_csv("trial,rmse_plain,rmse_rw,rel_plain,rel_rw", rows)
-    )
+    summary.write_text(fio.table_to_csv(
+        "trial,rmse_plain,rmse_rw,rel_plain,rel_rw,converged_plain,converged_rw,"
+        "iterations_plain,iterations_rw", rows,
+    ))
 
     f, plain, rw = results[0]
     time_rows = [
@@ -462,13 +475,16 @@ def _exp_method_comparison(cfg: ExperimentConfig, out: Path) -> list[Path]:
             metrics(ra.f_hat, f)["relative_error"],
             metrics(rw.f_hat, f)["relative_error"],
             metrics(rs.f_hat, f)["relative_error"],
+            *_convergence(ra, rw, rs),
         )
 
     rows = [one_trial(t) for t in range(cfg.trials)]
     path = out / "method_comparison.csv"
-    path.write_text(
-        fio.table_to_csv("trial,err_analysis,err_reweighted,err_synthesis", rows)
-    )
+    path.write_text(fio.table_to_csv(
+        "trial,err_analysis,err_reweighted,err_synthesis,converged_analysis,"
+        "converged_reweighted,converged_synthesis,iterations_analysis,"
+        "iterations_reweighted,iterations_synthesis", rows,
+    ))
     return [path]
 
 

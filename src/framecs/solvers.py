@@ -1,14 +1,20 @@
 """Convex recovery programs solved by a shared primal-dual engine.
 
 All four programs (l1-analysis, reweighted l1-analysis, l1-synthesis,
-split-analysis) minimize an l1-type objective subject to an l2 ball
-constraint ||A f - y||_2 <= eps.  They share one first-order primal-dual
-splitting (relaxed Chambolle-Pock) with one dual block per operator:
-the l1 term's conjugate prox is a per-coordinate modulus clip, the ball
-constraint's conjugate prox is a shifted shrinkage that handles eps = 0
-(affine constraint) without special casing.  The engine builds the
-constraint block itself from the measurement map, y and eps; each
-program supplies only its l1 blocks.
+split-analysis) minimize a weighted l1 norm ||W K x||_1 subject to the
+measurement constraint ||M x - y||_2 <= eps, with one relaxed
+Chambolle-Pock iteration.  Its primal prox is the exact projection onto
+the constraint (one eigendecomposition of M M* per call, (n/m) I in
+closed form for the subsampled DFT, a scalar Newton root for eps > 0),
+so every iterate it returns is feasible.  The l1 term is its one dual
+block: K = D* for the analysis programs, the identity for synthesis
+(x holds coefficients, M = A D) and the stacked D1*, D2* for
+split-analysis (M sums the range-projected components, then applies A).
+The steps keep tau sigma ||K||^2 fixed and rebalance tau/sigma every
+iteration on the relative primal and dual residuals (Goldstein, Li,
+Yuan, Esser and Baraniuk 2015).  A solve has converged when both
+residuals and the relative duality gap, taken at the least-squares
+multiplier u = -(M M*)^+ M K* p, are at most tol_rel.
 
 The l1 norm of a complex vector is the sum of moduli throughout, so real
 problems and complex Gabor/DFT problems run through one code path.
@@ -17,9 +23,8 @@ problems and complex Gabor/DFT problems run through one code path.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -46,7 +51,14 @@ __all__ = [
 class SolverConfig:
     """Tuning knobs for the primal-dual engine.
 
-    tol_feas = None means 1e-6 * ||y||_2, fixed at solve time.
+    max_iter caps each solve (each reweighting round).  converged=True
+    means the relative primal and dual residuals and the relative duality
+    gap are all <= tol_rel, and the returned iterate passes the tol_feas
+    guard ||A fhat - y||_2 <= eps + tol_feas (None: 1e-6 ||y||_2, fixed at
+    solve time); the projection keeps iterates feasible to roundoff, so
+    the guard binds only when roundoff exceeds tol_feas.  over_relaxation
+    is the relaxation factor in [1, 2).  step_ratio is the starting
+    tau/sigma, which the engine rebalances every iteration.
     """
 
     max_iter: int = 20000
@@ -54,9 +66,6 @@ class SolverConfig:
     tol_feas: float | None = None
     over_relaxation: float = 1.0
     history: bool = False
-    # tau/sigma asymmetry; tau*sigma*||K||^2 < 1 holds for any ratio.
-    # Values < 1 favor dual progress, which suits problems whose duals are
-    # box-bounded at unit scale while the signal is much larger.
     step_ratio: float = 1.0
 
     def __post_init__(self):
@@ -133,158 +142,209 @@ def soft_threshold(
 
 
 def _clip_modulus(v: np.ndarray, bound: np.ndarray | float) -> np.ndarray:
-    """Project onto {|v_i| <= bound_i}: the conjugate prox of weighted l1."""
-    mags = np.abs(v)
-    b = np.broadcast_to(np.asarray(bound, dtype=float), v.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mags > b, b / mags, 1.0)
-    return v * scale
+    """Project onto {|v_i| <= bound_i}, bound > 0: the conjugate prox of
+    weighted l1."""
+    return v * (bound / np.maximum(np.abs(v), bound))
 
 
-def _ball_conjugate_prox(
-    v: np.ndarray, sigma: float, y: np.ndarray, eps: float
-) -> np.ndarray:
-    """prox of sigma * (l2 ball indicator)^* : shift by sigma*y, then shrink
-    the whole vector's norm by sigma*eps.  eps = 0 reduces to the shift."""
-    u = v - sigma * y
-    if eps == 0.0:
-        return u
-    norm = float(np.linalg.norm(u))
-    if norm == 0.0:
-        return u
-    return u * max(0.0, 1.0 - sigma * eps / norm)
+# ---------------------------------------------------------------------------
+# the measurement constraint
+
+
+_CHUNK = 256  # columns per block when forming a Gram matrix
+_NEWTON_ITERS = 50  # cap of the scalar root behind an eps > 0 projection
+
+
+def _gram(apply, adjoint, m: int, M: np.ndarray | None = None) -> np.ndarray:
+    """The m x m Gram matrix of a map with m rows: summed over column
+    chunks of its stored matrix M when given, in real arithmetic when M is
+    real, else formed from blocks of the identity."""
+    if M is not None:
+        G = np.zeros((m, m), dtype=M.dtype)
+        for j in range(0, M.shape[1], _CHUNK):
+            C = np.ascontiguousarray(M[:, j : j + _CHUNK])
+            G += C @ C.conj().T
+        return G
+    G = np.empty((m, m), dtype=complex)
+    for j in range(0, m, _CHUNK):
+        E = np.eye(m, min(_CHUNK, m - j), -j, dtype=complex)
+        G[:, j : j + E.shape[1]] = apply(adjoint(E))
+    return G
+
+
+def _sensing_gram(A: SensingOperator) -> np.ndarray | float:
+    """A A*: n/m for the subsampled DFT (its rows are orthogonal), else the
+    m x m matrix, from A's stored matrix (real when A is) if it has one."""
+    if A.kind == "subsampled_dft_sign":
+        return A.n / A.m
+    M = A._dense_cache
+    if M is not None and not A.is_complex:
+        M = M.real
+    return _gram(A.apply, A.adjoint, A.m, M)
+
+
+def _same(v: np.ndarray) -> np.ndarray:
+    return v
+
+
+def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v; a real M multiplies v's real and imaginary parts, so BLAS runs
+    real products instead of promoting M to complex on every call."""
+    return M @ v if np.iscomplexobj(M) else (M @ v.real) + 1j * (M @ v.imag)
+
+
+class _Constraint:
+    """The set {x : ||M x - y||_2 <= eps} and the exact projection onto it.
+
+    With M M* = U diag(lam) U* (U = None: a multiple of the identity) and
+    r = M z - y, projecting z subtracts M* v, v = (M M*)^+ r for eps = 0
+    and v = mu (I + mu M M*)^{-1} r once ||r|| > eps > 0.  Newton steps on
+    1/||(I + mu M M*)^{-1} r|| - 1/eps, concave and increasing in mu, find
+    the multiplier, warm-started from the previous projection.
+    """
+
+    def __init__(self, apply, adjoint, gram, y, eps, cfg: SolverConfig):
+        self.apply, self.adjoint, self.y, self.eps = apply, adjoint, y, eps
+        tol = cfg.tol_feas
+        self.tol_feas = 1e-6 * float(np.linalg.norm(y)) if tol is None else tol
+        self.U = self.Uh = None
+        if np.ndim(gram):
+            lam, self.U = np.linalg.eigh(gram)
+            self.Uh = self.U.conj().T
+        else:
+            lam = np.full(y.size, float(gram))
+        self.live = lam > max(lam[-1], 0.0) * y.size * np.finfo(float).eps
+        self.lam = np.where(self.live, lam, 0.0)
+        self.inv = self.live / np.where(self.live, lam, 1.0)
+        self.mu = 0.0
+        # y's distance from range(M), which no x can close
+        dist = float(np.linalg.norm(self._to_eig(y)[~self.live]))
+        if dist > eps + self.tol_feas:
+            raise ValueError(
+                f"infeasible constraint: y lies {dist:.6g} from the range of "
+                f"the measurement map, farther than eps = {eps:.6g}"
+            )
+        self.least_squares = dist >= eps  # no multiplier reaches eps
+
+    def _to_eig(self, v):
+        return v if self.Uh is None else _dot(self.Uh, v)
+
+    def _from_eig(self, v):
+        return v if self.U is None else _dot(self.U, v)
+
+    def residual(self, x: np.ndarray) -> float:
+        return float(np.linalg.norm(self.apply(x) - self.y))
+
+    def project(self, z: np.ndarray) -> np.ndarray:
+        r = self.apply(z) - self.y
+        if not self.least_squares and float(np.linalg.norm(r)) <= self.eps:
+            return z
+        rh = self._to_eig(r)
+        coef = self.inv if self.least_squares else self._shrink(np.abs(rh) ** 2)
+        return z - self.adjoint(self._from_eig(coef * rh))
+
+    def _shrink(self, a: np.ndarray) -> np.ndarray:
+        """mu / (1 + mu lam) on the live eigenvectors, mu the root of
+        sum_i a_i / (1 + mu lam_i)^2 = eps^2 (a = |U* r|^2)."""
+        lam, eps, mu = self.lam, self.eps, self.mu
+        for _ in range(_NEWTON_ITERS):
+            t = 1.0 / (1.0 + mu * lam)
+            s = float(a @ (t * t))
+            slope = float(a @ (lam * t**3))  # -(d/dmu) s / 2
+            if abs(math.sqrt(s) - eps) <= 1e-14 * eps or slope == 0.0:
+                break
+            mu = max(mu - s * (1.0 - math.sqrt(s) / eps) / slope, 0.0)
+        self.mu = mu
+        return self.live * (mu / (1.0 + mu * lam))
+
+    def gap(self, x: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+        """(eps ||u|| - Re<u, M x - y>, ||M x - y||) at the least-squares
+        multiplier u = -(M M*)^+ M g of a dual point with K* p = g: the
+        constraint's share of the duality gap, >= 0 for a feasible x."""
+        r = self.apply(x) - self.y
+        u = -self._from_eig(self.inv * self._to_eig(self.apply(g)))
+        slack = self.eps * float(np.linalg.norm(u)) - float(np.vdot(u, r).real)
+        return slack, float(np.linalg.norm(r))
 
 
 # ---------------------------------------------------------------------------
 # the engine
 
 
-@dataclass
-class _DualBlock:
-    apply: Callable[[np.ndarray], np.ndarray]
-    adjoint: Callable[[np.ndarray], np.ndarray]
-    prox: Callable[[np.ndarray, float], np.ndarray]  # prox of sigma*H^*
-
-
 class _Solve(NamedTuple):
-    """Final engine state.  kx and duals hold one entry per dual block,
-    the measurement constraint's last."""
+    """Final engine state: the returned, feasible x, kx = K x and dual p."""
 
     x: np.ndarray
-    kx: list[np.ndarray]
-    objective: float
+    kx: np.ndarray
+    p: np.ndarray
     feasibility: float
     iterations: int
     converged: bool
     history: list[tuple[float, float]] | None
-    duals: list[np.ndarray]
 
 
-_WINDOW = 10  # convergence window length (iterations)
-_REFRESH = 512  # recompute tracked block images every this many iterations
 _POWER_ITERS = 100  # step cap of the ||K|| estimate behind the step size
 _POWER_SEED = 0  # seeds the estimate's start vector
+_ALPHA0 = 0.5  # first step-ratio adaptation factor
+_DECAY = 0.99  # each adaptation multiplies the factor by this
+_BALANCE = 1.5  # residual ratio beyond which the steps adapt
 
 
-def _pdhg(
-    n_primal: int,
-    blocks: Sequence[_DualBlock],
-    K: Callable[[np.ndarray], np.ndarray],
-    K_adj: Callable[[np.ndarray], np.ndarray],
-    y: np.ndarray,
-    eps: float,
-    objective: Callable[[np.ndarray, list[np.ndarray]], float],
-    cfg: SolverConfig,
-    primal_prox: Callable[[np.ndarray, float], np.ndarray] | None = None,
-    x0: np.ndarray | None = None,
-    duals0: list[np.ndarray] | None = None,
-) -> _Solve:
-    """Relaxed primal-dual iteration for
-    min G(x) + sum_b H_b(K_b x)  s.t.  ||K x - y||_2 <= eps.
+def _op_norm(apply, adjoint, dim: int) -> float:
+    """||L|| of L = apply (range C^dim), by power iteration on L L*."""
+    rng = make_rng(_POWER_SEED, stream=0x9090)
+    lam = power_iteration(lambda v: apply(adjoint(v)), dim, rng, _POWER_ITERS)
+    return math.sqrt(max(lam, 0.0))
 
-    The constraint is the last dual block, with the shifted-shrinkage
-    prox; its tracked image gives the feasibility ||K x - y||_2.  Tracks
-    K_b x incrementally so each iteration costs one apply and one adjoint
-    per block.  Convergence: the relative spread of objective and
-    feasibility over a 10-iteration window falls below tol_rel while the
-    iterate is eps-feasible within tol_feas.
+
+def _rel(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
+    """||a - b|| over the largest of ||a||, ||b|| and ||scale||."""
+    norms = [math.sqrt(float(np.vdot(v, v).real)) for v in (a - b, a, b, scale)]
+    return norms[0] / max(*norms[1:], np.finfo(float).tiny)
+
+
+def _pdhg(n_primal, K, K_adj, norm_k, weights, con, cfg, x0=None, p0=None) -> _Solve:
+    """Relaxed primal-dual iteration for min ||W K x||_1 s.t. x in con.
+
+    The primal prox is con's projection and the dual prox clips |p_i| to
+    w_i.  tau sigma ||K||^2 stays 1/1.01^2; tau/sigma starts at
+    cfg.step_ratio and adapts toward equal relative residuals.  Each
+    iteration applies K, K*, M and M* once.
     """
-    blocks = [
-        *blocks,
-        _DualBlock(K, K_adj, lambda v, sig: _ball_conjugate_prox(v, sig, y, eps)),
-    ]
-    y_norm = float(np.linalg.norm(y))
-    tol_feas = cfg.tol_feas if cfg.tol_feas is not None else 1e-6 * y_norm
-
-    def feasibility(kx):
-        return float(np.linalg.norm(kx[-1] - y))
-
-    def stack_apply(v):
-        return [b.apply(v) for b in blocks]
-
-    def stacked_power(v):
-        imgs = stack_apply(v)
-        out = np.zeros(n_primal, dtype=complex)
-        for b, img in zip(blocks, imgs):
-            out += b.adjoint(img)
-        return out
-
-    lam = power_iteration(
-        stacked_power, n_primal, make_rng(_POWER_SEED, stream=0x9090), _POWER_ITERS
-    )
-    norm_k = math.sqrt(max(lam, 0.0))
+    rho, tol = cfg.over_relaxation, cfg.tol_rel
     step = 1.0 / (1.01 * max(norm_k, 1e-150))
-    tau = step * cfg.step_ratio
-    sigma = step / cfg.step_ratio
-
-    rho = cfg.over_relaxation
+    tau, sigma, alpha = step * cfg.step_ratio, step / cfg.step_ratio, _ALPHA0
     x = np.zeros(n_primal, dtype=complex) if x0 is None else x0.astype(complex)
-    kx = stack_apply(x)
-    if duals0 is None:
-        duals = [np.zeros_like(k, dtype=complex) for k in kx]
-    else:
-        duals = [p.astype(complex) for p in duals0]
-
-    obj_win: deque[float] = deque(maxlen=_WINDOW + 1)
-    feas_win: deque[float] = deque(maxlen=_WINDOW + 1)
+    kx = K(x)
+    p = np.zeros_like(kx) if p0 is None else p0.astype(complex)
+    kp = K_adj(p)
     history: list[tuple[float, float]] | None = [] if cfg.history else None
-
     converged = False
-    it = 0
-    obj = objective(x, kx)
-    feas = feasibility(kx)
     for it in range(1, cfg.max_iter + 1):
-        grad = np.zeros(n_primal, dtype=complex)
-        for b, p in zip(blocks, duals):
-            grad += b.adjoint(p)
-        x_t = x - tau * grad
-        if primal_prox is not None:
-            x_t = primal_prox(x_t, tau)
-        kx_t = stack_apply(x_t)
-        for i, b in enumerate(blocks):
-            duals[i] = b.prox(duals[i] + sigma * (2.0 * kx_t[i] - kx[i]), sigma)
-        x = x + rho * (x_t - x)
-        if it % _REFRESH == 0:
-            kx = stack_apply(x)
-        else:
-            kx = [v + rho * (vt - v) for v, vt in zip(kx, kx_t)]
-
-        obj = objective(x, kx)
-        feas = feasibility(kx)
+        xt = con.project(x - tau * kp)
+        kxt = K(xt)
+        pt = _clip_modulus(p + sigma * (2.0 * kxt - kx), weights)
+        kpt = K_adj(pt)
+        dx, dkx, dp, dkp = x - xt, kx - kxt, p - pt, kp - kpt
+        x, kx, p, kp = x - rho * dx, kx - rho * dkx, p - rho * dp, kp - rho * dkp
         if history is not None:
-            history.append((obj, feas))
-        obj_win.append(obj)
-        feas_win.append(feas)
-        if len(obj_win) == _WINDOW + 1 and feas <= eps + tol_feas:
-            obj_spread = max(obj_win) - min(obj_win)
-            feas_spread = max(feas_win) - min(feas_win)
-            if obj_spread <= cfg.tol_rel * max(abs(obj), 1e-30) and (
-                feas_spread <= cfg.tol_rel * max(y_norm, 1e-30)
-            ):
+            history.append((float(np.sum(weights * np.abs(kxt))), con.residual(xt)))
+        # residuals of (xt, pt) in 0 in dG(x) + K* p and 0 in dH*(p) - K x
+        res_p, res_d = _rel(dx / tau, dkp, kpt), _rel(dp / sigma, dkx, kxt)
+        if res_p <= tol and res_d <= tol:
+            primal = float(np.sum(weights * np.abs(kxt)))
+            # duality gap at (xt; pt, u): the l1 term's complementarity
+            # plus the constraint's, both >= 0
+            slack, feas = con.gap(xt, kpt)
+            gap = primal - float(np.vdot(pt, kxt).real) + slack
+            if gap <= tol * primal and feas <= con.eps + con.tol_feas:
                 converged = True
                 break
-
-    return _Solve(x, kx, obj, feas, it, converged, history, duals)
+        if res_p > _BALANCE * res_d:
+            tau, sigma, alpha = tau / (1 - alpha), sigma * (1 - alpha), alpha * _DECAY
+        elif res_d > _BALANCE * res_p:
+            tau, sigma, alpha = tau * (1 - alpha), sigma / (1 - alpha), alpha * _DECAY
+    return _Solve(xt, kxt, pt, con.residual(xt), it, converged, history)
 
 
 # ---------------------------------------------------------------------------
@@ -333,49 +393,19 @@ def lemma_audit(
         ratio = lhs / rhs
     else:
         ratio = 0.0 if lhs == 0.0 else math.inf
-    return LemmaAudit(
-        s=s,
-        block_size=M,
-        cone_slack=cone_slack,
-        tube_norm=tube_norm,
-        tail_lhs=lhs,
-        tail_rhs=rhs,
-        tail_ratio=ratio,
-        eta=eta,
-    )
+    return LemmaAudit(s, M, cone_slack, tube_norm, lhs, rhs, ratio, eta)
 
 
-def _report(
-    method: str,
-    A: SensingOperator,
-    D: Dictionary,
-    d: int,
-    eps: float,
-    f_hat: Signal,
-    objective: float,
-    res: _Solve,
-    reference: np.ndarray | Signal | None,
-    audit_s: int | None,
-) -> RecoveryReport:
-    """The report of one solve.  Given a reference signal it carries the
-    lemma audit against D at s = audit_s (default m // 4)."""
+def _report(method, A, D, d, eps, f_hat, res, reference, audit_s) -> RecoveryReport:
+    """The report of one solve, objective ||K x||_1 unweighted; given a
+    reference signal, with the lemma audit against D at s = audit_s."""
     diagnostics = None
     if reference is not None:
         s = audit_s if audit_s is not None else max(1, A.m // 4)
         diagnostics = lemma_audit(A, D, reference, f_hat.samples, eps, s)
     return RecoveryReport(
-        method=method,
-        n=A.n,
-        d=d,
-        m=A.m,
-        eps=float(eps),
-        f_hat=f_hat,
-        objective=objective,
-        feasibility=res.feasibility,
-        iterations=res.iterations,
-        converged=res.converged,
-        diagnostics=diagnostics,
-        history=res.history,
+        method, A.n, d, A.m, float(eps), f_hat, float(np.sum(np.abs(res.kx))),
+        res.feasibility, res.iterations, res.converged, diagnostics, res.history,
     )
 
 
@@ -415,37 +445,28 @@ def reweight_weights(coeff_mags: np.ndarray, s: int) -> tuple[np.ndarray, float]
 
 def _analysis(method, A, D, y, eps, cfg, rounds, s, reference, audit_s):
     """`rounds` rounds of min ||W D* f||_1 s.t. ||A f - y||_2 <= eps, as
-    reweighted_l1_analysis describes; reports the unweighted ||D* fhat||_1."""
+    reweighted_l1_analysis describes; reports the unweighted ||D* fhat||_1.
+    ||D|| and the projector are built once and serve every round."""
     cfg = cfg or SolverConfig()
     y = _check_inputs(A, y, eps, D)
     s = s if s is not None else max(1, A.m // 4)
+    con = _Constraint(A.apply, A.adjoint, _sensing_gram(A), y, eps, cfg)
+    norm_d = _op_norm(D.apply, D.adjoint, D.n)
     w = np.ones(D.d)
-    res = duals = None
+    res = None
     for r in range(rounds):
         if r:
-            w, _ = reweight_weights(np.abs(res.kx[0]), s)
+            w, _ = reweight_weights(np.abs(res.kx), s)
+        res = _pdhg(
+            A.n, D.adjoint, D.apply, norm_d, w, con, cfg,
+            x0=None if res is None else res.x,
             # re-entering with new weights: shrink dual coordinates that now
             # exceed their box so the warm start stays dual-feasible
-            duals = [_clip_modulus(res.duals[0], w), res.duals[1]]
-        res = _pdhg(
-            n_primal=A.n,
-            blocks=[
-                _DualBlock(D.adjoint, D.apply, lambda v, sig, w=w: _clip_modulus(v, w))
-            ],
-            K=A.apply,
-            K_adj=A.adjoint,
-            y=y,
-            eps=eps,
-            objective=lambda _x, k, w=w: float(np.sum(w * np.abs(k[0]))),
-            cfg=cfg,
-            x0=None if res is None else res.x,
-            duals0=duals,
+            p0=None if res is None else _clip_modulus(res.p, w),
         )
     label = "l1_analysis" if method == "analysis" else "reweighted_l1_analysis"
-    objective = float(np.sum(np.abs(res.kx[0])))
     return _report(
-        method, A, D, D.d, eps, Signal(res.x, label=label), objective, res,
-        reference, audit_s,
+        method, A, D, D.d, eps, Signal(res.x, label=label), res, reference, audit_s
     )
 
 
@@ -505,45 +526,42 @@ def l1_synthesis(
     with fhat = D xhat.  The report objective is ||xhat||_1."""
     cfg = cfg or SolverConfig()
     y = _check_inputs(A, y, eps, D)
-    res = _pdhg(
-        n_primal=D.d,
-        blocks=[],
-        K=lambda v: A.apply(D.apply(v)),
-        K_adj=lambda q: D.adjoint(A.adjoint(q)),
-        y=y,
-        eps=eps,
-        objective=lambda x, _k: float(np.sum(np.abs(x))),
-        cfg=cfg,
-        primal_prox=lambda v, tau: soft_threshold(v, tau),
-    )
+
+    def M(v):
+        return A.apply(D.apply(v))
+
+    def M_adj(q):
+        return D.adjoint(A.adjoint(q))
+
+    con = _Constraint(M, M_adj, _gram(M, M_adj, A.m), y, eps, cfg)
+    res = _pdhg(D.d, _same, _same, 1.0, 1.0, con, cfg)
     f_hat = Signal(D.apply(res.x), label="l1_synthesis")
-    report = _report(
-        "synthesis", A, D, D.d, eps, f_hat, res.objective, res, reference, audit_s
-    )
+    report = _report("synthesis", A, D, D.d, eps, f_hat, res, reference, audit_s)
     return report, res.x
 
 
-def _range_projector(D: Dictionary) -> np.ndarray | None:
-    """Orthogonal projector onto range(D), or None when D spans C^n.
+def _range_projector(D: Dictionary) -> Callable[[np.ndarray], np.ndarray]:
+    """Orthogonal projection onto range(D), the identity when D spans C^n.
 
     Rank-deficient components would otherwise make split-analysis
     degenerate (content in the null space of D* is free).  Falls back to
     assuming full rank when the dictionary is too large to materialize.
     """
     if D.tight:
-        return None
+        return _same
     if D.n * D.d > MATERIALIZATION_CAP:
         lo, _ = frame_bounds(D)
         if lo <= 1e-10:
             raise ValueError("rank-deficient dictionary too large to project")
-        return None
+        return _same
     M = D.dense()
     u, sv, _ = np.linalg.svd(M, full_matrices=False)
     rank = int(np.sum(sv > max(M.shape) * np.finfo(float).eps * sv[0]))
     if rank >= D.n:
-        return None
+        return _same
     basis = u[:, :rank]
-    return basis @ basis.conj().T
+    proj = basis @ basis.conj().T
+    return lambda v: proj @ v
 
 
 def split_analysis(
@@ -565,48 +583,30 @@ def split_analysis(
     """
     cfg = cfg or SolverConfig()
     y = _check_inputs(A, y, eps, D1, D2)
-    n = A.n
+    n, d1 = A.n, D1.d
+    P1, P2 = _range_projector(D1), _range_projector(D2)
 
-    proj1 = _range_projector(D1)
-    proj2 = _range_projector(D2)
+    def parts(z):  # (f1, f2), each in the range of its dictionary
+        return P1(z[:n]), P2(z[n:])
 
-    def primal_prox(z, _tau):
-        out = z.copy()
-        if proj1 is not None:
-            out[:n] = proj1 @ z[:n]
-        if proj2 is not None:
-            out[n:] = proj2 @ z[n:]
-        return out
+    def M(z):
+        return A.apply(sum(parts(z)))
 
-    zeros = np.zeros(n, dtype=complex)
+    def M_adj(q):
+        v = A.adjoint(q)
+        return np.concatenate([P1(v), P2(v)])
+
+    con = _Constraint(M, M_adj, _gram(M, M_adj, A.m), y, eps, cfg)
     res = _pdhg(
-        n_primal=2 * n,
-        blocks=[
-            _DualBlock(
-                apply=lambda z: D1.adjoint(z[:n]),
-                adjoint=lambda p: np.concatenate([D1.apply(p), zeros]),
-                prox=lambda v, sig: _clip_modulus(v, 1.0),
-            ),
-            _DualBlock(
-                apply=lambda z: D2.adjoint(z[n:]),
-                adjoint=lambda p: np.concatenate([zeros, D2.apply(p)]),
-                prox=lambda v, sig: _clip_modulus(v, 1.0),
-            ),
-        ],
-        K=lambda z: A.apply(z[:n] + z[n:]),
-        K_adj=lambda q: np.tile(A.adjoint(q), 2),
-        y=y,
-        eps=eps,
-        objective=lambda _z, k: float(np.sum(np.abs(k[0])) + np.sum(np.abs(k[1]))),
-        cfg=cfg,
-        primal_prox=primal_prox if (proj1 is not None or proj2 is not None) else None,
+        2 * n,
+        lambda z: np.concatenate([D1.adjoint(z[:n]), D2.adjoint(z[n:])]),
+        lambda p: np.concatenate([D1.apply(p[:d1]), D2.apply(p[d1:])]),
+        max(_op_norm(D1.apply, D1.adjoint, n), _op_norm(D2.apply, D2.adjoint, n)),
+        1.0, con, cfg,
     )
-    z = res.x
-    f1 = Signal(z[:n], label="split_analysis_f1")
-    f2 = Signal(z[n:], label="split_analysis_f2")
-    f_hat = Signal(z[:n] + z[n:], label="split_analysis")
-    report = _report(
-        "split", A, D1, D1.d + D2.d, eps, f_hat, res.objective, res, reference,
-        audit_s,
-    )
+    f1, f2 = parts(res.x)
+    f_hat = Signal(f1 + f2, label="split_analysis")
+    report = _report("split", A, D1, D1.d + D2.d, eps, f_hat, res, reference, audit_s)
+    f1 = Signal(f1, label="split_analysis_f1")
+    f2 = Signal(f2, label="split_analysis_f2")
     return report, f1, f2

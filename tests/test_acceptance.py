@@ -235,15 +235,17 @@ def test_criterion_5_lemma_audit(comb_batch, noise_batch, radar_batch):
         worst["tube"] = max(worst["tube"], diag.tube_norm - tube_budget)
         worst["tail"] = max(worst["tail"], tail_slack)
         assert diag.block_size == 6 * diag.s
+    # an audit that skips most solves shows little: 75 of the 80 must count
     ok = (
-        checked > 0
+        checked >= 75
         and worst["cone"] <= 0.0
         and worst["tube"] <= 0.0
         and worst["tail"] <= 1e-12
     )
     criterion(
         5, "lemma-audit", ok,
-        f"{checked} converged solves; worst margins cone {worst['cone']:.2e}, "
+        f"{checked} of 80 solves converged and audited (need 75); worst "
+        f"margins cone {worst['cone']:.2e}, "
         f"tube {worst['tube']:.2e}, tail {worst['tail']:.2e}",
     )
 

@@ -183,14 +183,16 @@ class TestExperimentCommand:
             capsys,
         )
         assert code == 0
-        line = [
-            ln for ln in (tmp_path / "noise_curve.csv").read_text().splitlines()
-            if not ln.startswith("#")
-        ][0]
-        sigma_rel, err_plain, err_rw = (float(p) for p in line.split(","))
-        assert sigma_rel == 0.0
-        assert err_plain <= 1e-3
-        assert err_rw <= 1e-3
+        header, line = (tmp_path / "noise_curve.csv").read_text().splitlines()
+        assert header == (
+            "# sigma_rel,err_plain,err_rw,converged_plain,converged_rw"
+        )
+        sigma_rel, err_plain, err_rw, conv_plain, conv_rw = line.split(",")
+        assert float(sigma_rel) == 0.0
+        assert float(err_plain) <= 1e-3
+        assert float(err_rw) <= 1e-3
+        # converged counts out of --trials 1
+        assert (conv_plain, conv_rw) == ("1", "1")
 
     def test_unknown_experiment_exits_1(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -244,6 +246,15 @@ class TestExperimentCommand:
         time_lines = (tmp_path / "radar_time.csv").read_text().splitlines()
         assert len(time_lines) == 1 + 256
         assert len(time_lines[1].split(",")) == 7
+        header, row = (tmp_path / "radar_summary.csv").read_text().splitlines()
+        assert header == (
+            "# trial,rmse_plain,rmse_rw,rel_plain,rel_rw,converged_plain,"
+            "converged_rw,iterations_plain,iterations_rw"
+        )
+        conv = row.split(",")[5:7]
+        iters = [int(v) for v in row.split(",")[7:]]
+        assert set(conv) <= {"0", "1"}
+        assert all(1 <= it <= 400 for it in iters)
 
     def test_coefficient_decay_sorted(self, tmp_path, capsys):
         code, _, _ = run_cli(
@@ -268,8 +279,16 @@ class TestExperimentCommand:
         )
         assert code == 0
         lines = (tmp_path / "method_comparison.csv").read_text().splitlines()
-        assert lines[0] == "# trial,err_analysis,err_reweighted,err_synthesis"
+        assert lines[0] == (
+            "# trial,err_analysis,err_reweighted,err_synthesis,"
+            "converged_analysis,converged_reweighted,converged_synthesis,"
+            "iterations_analysis,iterations_reweighted,iterations_synthesis"
+        )
         assert len(lines) == 3
+        for line in lines[1:]:
+            fields = line.split(",")
+            assert set(fields[4:7]) <= {"0", "1"}
+            assert all(1 <= int(v) <= 2000 for v in fields[7:])
 
 
 class TestCertifyCommand:

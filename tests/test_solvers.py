@@ -12,11 +12,19 @@ from framecs.frames import (
     from_matrix,
 )
 from framecs.linops import power_iteration
-from framecs.rng import make_rng
-from framecs.sensing import SensingOperator, gaussian_sensing, measure
+from framecs.rng import make_rng, split_seed
+from framecs.sensing import (
+    SensingOperator,
+    bernoulli_sensing,
+    gaussian_sensing,
+    measure,
+    subsampled_dft_sign,
+)
 from framecs.signals import Signal, dirac_comb, metrics
 from framecs.solvers import (
     SolverConfig,
+    _Constraint,
+    _sensing_gram,
     l1_analysis,
     l1_synthesis,
     lemma_audit,
@@ -425,3 +433,144 @@ class TestEngineVsOracleTiny:
         rep = l1_analysis(A, D, y, 0.0, cfg=TIGHT_CFG)
         obj, _ = analysis_lp_vertex_oracle(A.dense().real, M.T.real, y.real)
         assert rep.objective == pytest.approx(obj, abs=1e-5)
+
+
+# ---------------------------------------------------------------------------
+# the engine: exact projection, feasible iterates, certified stop
+
+SENSING = {
+    "gaussian": gaussian_sensing,
+    "bernoulli": bernoulli_sensing,
+    "dft": subsampled_dft_sign,
+}
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("max_iter", [1, 5, 200])
+@pytest.mark.parametrize("kind", sorted(SENSING))
+@pytest.mark.parametrize("method", sorted(PROGRAMS))
+def test_every_iterate_is_feasible(method, kind, max_iter, noisy):
+    # the primal prox is the projection onto the constraint, so a solve
+    # stopped at any iteration returns a feasible signal
+    n, m = 32, 20
+    A = SENSING[kind](m, n, seed=8)
+    D = build_oversampled_dft(n, 2)
+    y, znorm = measure(A, make_rng(1).standard_normal(n) + 0j,
+                       0.1 if noisy else 0.0, seed=5)
+    cfg = SolverConfig(max_iter=max_iter, over_relaxation=1.8)
+    rep = PROGRAMS[method](A, D, y, znorm, cfg)
+    assert rep.feasibility <= znorm + 1e-12 * np.linalg.norm(y)
+
+
+def dense_projection(M, y, eps, z):
+    """argmin ||x - z|| s.t. ||M x - y|| <= eps from dense algebra: the
+    least-norm correction for eps = 0, else x(mu) solving
+    (I + mu M*M) x = z + mu M*y with mu found by bisection."""
+    if eps == 0.0:
+        return z - np.linalg.pinv(M) @ (M @ z - y)
+    if np.linalg.norm(M @ z - y) <= eps:
+        return z
+    Mh = M.conj().T
+    n = M.shape[1]
+
+    def x_of(mu):
+        return np.linalg.solve(np.eye(n) + mu * Mh @ M, z + mu * Mh @ y)
+
+    lo, hi = 0.0, 1.0
+    while np.linalg.norm(M @ x_of(hi) - y) > eps:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if np.linalg.norm(M @ x_of(mid) - y) > eps:
+            lo = mid
+        else:
+            hi = mid
+    return x_of(hi)
+
+
+@pytest.mark.parametrize("eps_frac", [0.0, 0.3])
+@pytest.mark.parametrize("kind,m,n", [
+    ("gaussian", 12, 30), ("bernoulli", 12, 30), ("dft", 12, 30),
+    ("gaussian", 12, 8),  # rank 8 < m: A A* is singular
+])
+def test_projection_matches_dense_reference(kind, m, n, eps_frac):
+    rng = make_rng(61)
+    A = SENSING[kind](m, n, seed=9)
+    # y = A f + noise inside range(A) for the singular case
+    y = A.apply(rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    if m <= n:
+        y = y + rng.standard_normal(m)
+    z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
+    eps = eps_frac * float(np.linalg.norm(A.apply(z) - y))
+    con = _Constraint(A.apply, A.adjoint, _sensing_gram(A), y, eps, SolverConfig())
+    ref = dense_projection(A.dense(), y, eps, z)
+    assert np.linalg.norm(con.project(z) - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def test_subsampled_dft_gram_is_the_closed_form():
+    A = subsampled_dft_sign(24, 64, seed=3)
+    M = A.dense()
+    assert _sensing_gram(A) == 64 / 24
+    assert np.allclose(M @ M.conj().T, (64 / 24) * np.eye(24), rtol=0, atol=1e-12)
+
+
+def test_infeasible_constraint_raises_before_iterating():
+    n, m = 8, 12  # rank(A) = 8 < m, so most y are out of range(A)
+    A = gaussian_sensing(m, n, seed=split_seed(5, 0))
+    y = make_rng(4).standard_normal(m) + 0j
+    M = A.dense()
+    dist = float(np.linalg.norm(y - M @ np.linalg.lstsq(M, y, rcond=None)[0]))
+    with pytest.raises(ValueError) as exc:
+        l1_analysis(A, build_identity(n), y, 0.0)
+    assert f"{dist:.6g}" in str(exc.value) and "eps = 0" in str(exc.value)
+    # a y inside range(A) pins the solution
+    f = make_rng(5).standard_normal(n) + 0j
+    y_in = A.apply(f)
+    rep = l1_analysis(A, build_identity(n), y_in, 0.0, cfg=TIGHT_CFG)
+    assert rep.converged
+    assert np.linalg.norm(rep.f_hat.samples - f) <= 1e-10 * np.linalg.norm(f)
+
+
+def oracle_instances():
+    """Tiny real eps = 0 instances with exact LP optima: (solve, optimum)."""
+    out = []
+    for t in range(6):
+        rng = make_rng(710, stream=t)
+        n, m = 6 + t % 3, 3 + t % 3
+        q, _ = np.linalg.qr(rng.standard_normal((n + 4, n)))
+        Dt = q if t % 2 else np.vstack([np.eye(n), q[:n].T]) / math.sqrt(2)
+        A = gaussian_sensing(m, n, seed=split_seed(711, t))
+        f = np.zeros(n)
+        f[rng.choice(n, size=2, replace=False)] = rng.standard_normal(2)
+        y = A.apply(f + 0j).real + 0j
+        D = from_matrix(Dt.T.astype(complex))
+        obj, _ = analysis_lp_vertex_oracle(A.dense().real, Dt, y.real)
+        out.append(
+            (lambda cfg, A=A, D=D, y=y: l1_analysis(A, D, y, 0.0, cfg=cfg), obj)
+        )
+    for t in range(3):
+        rng = make_rng(810, stream=t)
+        n, m, d = 6 + t, 4 + t % 2, 12
+        q, _ = np.linalg.qr(rng.standard_normal((d, n)))
+        A = gaussian_sensing(m, n, seed=split_seed(811, t))
+        x0 = np.zeros(d)
+        x0[rng.choice(d, size=2, replace=False)] = rng.standard_normal(2)
+        y = A.apply((q.T @ x0).astype(complex)).real + 0j
+        D = from_matrix(q.T.astype(complex))
+        obj, _ = synthesis_lp_vertex_oracle(A.dense().real @ q.T, y.real)
+        out.append(
+            (lambda cfg, A=A, D=D, y=y: l1_synthesis(A, D, y, 0.0, cfg=cfg)[0], obj)
+        )
+    return out
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_converged_objective_is_within_tol_of_the_oracle(case):
+    # converged=True is a measured optimality test: the objective is
+    # within tol_rel of the exact optimum, not merely stalled
+    solve, optimum = oracle_instances()[case]
+    cfg = SolverConfig(max_iter=40000, tol_rel=1e-6, over_relaxation=1.8,
+                       step_ratio=0.25)
+    rep = solve(cfg)
+    assert rep.converged
+    assert abs(rep.objective - optimum) <= cfg.tol_rel * optimum
