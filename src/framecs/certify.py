@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .frames import Dictionary
+from .linops import BLOCK_BYTES  # sizes Monte Carlo blocks and enumeration chunks
 from .rng import make_rng, rekey
 from .sensing import SensingOperator
 from .signals import Signal, best_s_term
@@ -39,13 +40,6 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 10**6
-# Working-set budget of one Monte Carlo block or enumeration chunk: the
-# number of trials or supports handled together is this many bytes over
-# the complex128 storage one of them needs.  Speed is flat from 64 KiB to
-# 4 MiB; larger budgets leave heap behind that raises the process's peak
-# memory (by 1.4 MiB at 1 MiB and 6 MiB at 4 MiB in the benchmark's
-# certify workload).
-BLOCK_BYTES = 2**18
 
 
 @dataclass

@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from .linops import LinearOperator, power_iteration
+from .linops import LinearOperator, gram, power_iteration
 from .rng import make_rng
 
 __all__ = [
@@ -118,15 +118,17 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     n_time, n_freq = _gabor_grid(n, a, b)
     d = n_time * n_freq
 
-    # Window table: col k2 holds g((t - k2*a) mod n), wrapped to (-n/2, n/2].
+    # The window g at the signed circular distance of t from 0, wrapped to
+    # (-n/2, n/2]; atom k2 carries it shifted, g((t - k2*a) mod n).  The
+    # tables below gather from g, so no n x n_time temporary is formed.
     t = np.arange(n)
-    offsets = (t[:, None] - a * np.arange(n_time)[None, :]) % n
-    offsets = np.where(offsets > n / 2, offsets - n, offsets).astype(float)
+    dist = np.where(t > n / 2, t - n, t).astype(float)
     if math.isinf(window_sigma):
-        windows = np.ones_like(offsets)
+        g = np.ones(n)
     else:
-        windows = np.exp(-(offsets**2) / (2.0 * window_sigma**2))
-    gnorm = math.sqrt(float(np.sum(windows[:, 0] ** 2)))
+        g = np.exp(-(dist**2) / (2.0 * window_sigma**2))
+    shifts = a * np.arange(n_time)
+    gnorm = math.sqrt(float(np.sum(g**2)))
     if gnorm == 0.0:
         raise ValueError("window vanished; sigma too small for this n")
 
@@ -141,12 +143,15 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
         # and both directions become one small FFT plus a batched window
         # contraction.  Complex vectors ride through the real GEMMs as
         # interleaved (re, im) float pairs.
+        # w_qap[tau, alpha, k2] = g((alpha*Q + tau - k2*a) mod n), zero for
+        # the pad rows alpha*Q + tau >= n; gathered one tau slice at a time.
         pad = (-n) % q_int
-        w3 = np.vstack([windows, np.zeros((pad, n_time))]) if pad else windows
-        w3 = w3.reshape(-1, q_int, n_time)
-        n_alpha = w3.shape[0]
-        w_qap = np.ascontiguousarray(w3.transpose(1, 0, 2))  # [tau, alpha, k2]
-        w_qpa = np.ascontiguousarray(w3.transpose(1, 2, 0))  # [tau, k2, alpha]
+        n_alpha = (n + pad) // q_int
+        w_qap = np.zeros((q_int, n_alpha, n_time))
+        for tau in range(q_int):
+            rows = np.arange(tau, n, q_int)
+            w_qap[tau, : rows.size] = g[(rows[:, None] - shifts) % n]
+        w_qpa = np.ascontiguousarray(w_qap.transpose(0, 2, 1))  # [tau, k2, alpha]
 
         # A block's k columns ride along as a trailing axis (``cols``, empty
         # for a vector), so they widen the GEMMs instead of repeating them.
@@ -174,6 +179,9 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
 
     else:
         ramps = np.exp(2j * np.pi * b * np.outer(np.arange(n_freq), t))
+        windows = np.empty((n, n_time))  # col k2 holds g((t - k2*a) mod n)
+        for k2, shift in enumerate(shifts):
+            windows[:, k2] = np.roll(g, shift)
 
         # x.T puts a block's columns first (and leaves a vector alone), so
         # the matmuls below run once per column as a stack.
@@ -241,35 +249,14 @@ def from_matrix(M: np.ndarray, tight: bool | None = None) -> Dictionary:
     return out
 
 
-def _frame_operator(D: Dictionary) -> np.ndarray:
-    """Dense n x n frame operator S = D D*.
-
-    When D carries its matrix (``from_matrix``, or ``tighten`` of such a
-    dictionary) S is one product of that stored matrix with its adjoint.
-    Otherwise column j of S is D(D* e_j): n adjoint/apply pairs that never
-    form the n x d matrix, so the memory cost is the n x n complex S alone.
-    """
-    M = D._dense_cache
-    if M is not None:
-        return M @ M.conj().T
-    n = D.n
-    S = np.empty((n, n), dtype=complex)
-    e = np.zeros(n, dtype=complex)
-    for j in range(n):
-        e[j] = 1.0
-        S[:, j] = D.apply(D.adjoint(e))
-        e[j] = 0.0
-    return S
-
-
 def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
     """Frame bounds (A, B) = extreme eigenvalues of D D*.
 
-    Up to ``dense_limit``, a dense Hermitian eigensolve of S = D D*, formed
-    from n adjoint/apply pairs (or one product when D stores its matrix);
-    memory is one n x n complex S, never the n x d D.  Beyond that, power
-    iteration on the frame operator and on B*I - D D*, at most 500 steps
-    each.  The step cap can bind: on build_gabor(256, 8.0, 8, 1/32) the
+    Up to ``dense_limit``, a dense Hermitian eigensolve of S = D D* from
+    ``linops.gram``: blocks of identity columns through D* and then D, or
+    chunked products of D's matrix when D stores one; memory is one n x n
+    complex S, never the n x d D.  Beyond that, power iteration on the
+    frame operator and on B*I - D D*, at most 500 steps each.  The step cap can bind: on build_gabor(256, 8.0, 8, 1/32) the
     power branch lands within 6e-5 (A) and 8e-5 (B) relative of the
     dense eigenvalues.
 
@@ -281,8 +268,7 @@ def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
     if D._bounds_cache is not None and D._bounds_cache[0] == exact:
         return D._bounds_cache[1]
     if exact:
-        S = _frame_operator(D)
-        eig = np.linalg.eigvalsh(S)
+        eig = np.linalg.eigvalsh(gram(D))
         A, B = float(eig[0]), float(eig[-1])
     else:
 
@@ -301,13 +287,12 @@ def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
 def tighten(D: Dictionary) -> Dictionary:
     """Whiten a frame: returns (D D*)^{-1/2} D, which is tight.
 
-    S = D D* comes from n adjoint/apply pairs, or from one product when D
-    stores its matrix; memory is the n x n complex S and its eigenvectors,
-    and D itself is left unmaterialized.  Raises when the frame lower
-    bound is (numerically) zero.
+    S = D D* comes from ``linops.gram``, as in frame_bounds; memory is the
+    n x n complex S and its eigenvectors, and D itself is left
+    unmaterialized.  Raises when the frame lower bound is (numerically)
+    zero.
     """
-    S = _frame_operator(D)
-    eig, V = np.linalg.eigh(S)
+    eig, V = np.linalg.eigh(gram(D))
     if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
         raise ValueError("not a frame: frame operator is rank deficient")
     W = (V * (eig**-0.5)) @ V.conj().T  # Hermitian inverse square root

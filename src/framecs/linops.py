@@ -11,15 +11,18 @@ Block contract: ``apply`` takes a length-in_dim vector, shape
 ``adjoint`` likewise with the dimensions swapped.  Column j of a block
 result is the operator applied to column j, to roundoff: a vector keeps
 the exact arithmetic of a one-vector call, and a ``(dim, 1)`` block gives
-the same bits as the vector.  Every operator the package builds applies a
-block in one call (the Gabor fast path, for instance, runs its FFTs and
-window contractions over all columns at once).  A callable written for
-vectors only is still accepted: when it rejects a block (raises
-ValueError or returns the wrong shape), the block is applied one column
-at a time.
+the same bits as the vector.  Every callable must keep this contract: a
+block reaches it in one call (the Gabor fast path, for instance, runs its
+FFTs and window contractions over all columns at once), and a result of
+the wrong shape raises ValueError naming the expected one.
 
-Operators are immutable after construction; the dense cache is the only
-lazily filled field and is a pure function of the operator.
+``gram(op)`` forms L L*, the frame operator D D* and the sensing Gram A A*
+alike: from the stored matrix, or else from identity blocks of at most
+``BLOCK_BYTES`` pushed through adjoint and then apply.
+
+Operators are immutable after construction.  The dense cache holds the
+matrix a dense operator was built from, in its own dtype, or is filled
+lazily by ``dense()``; either way it is a pure function of the operator.
 """
 
 from __future__ import annotations
@@ -29,14 +32,23 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "BLOCK_BYTES",
     "LinearOperator",
     "MATERIALIZATION_CAP",
     "adjoint_mismatch",
+    "gram",
     "power_iteration",
 ]
 
 # Dense export refuses above this many entries unless the caller raises it.
 MATERIALIZATION_CAP = 2**24
+# Working-set budget of one block of vectors: a block of k columns of
+# complex128 length-dim vectors takes 16 * dim * k bytes.  Speed is flat
+# from 64 KiB to 4 MiB; larger budgets leave heap behind that raises the
+# process's peak memory (by 1.4 MiB at 1 MiB and 6 MiB at 4 MiB in the
+# benchmark's certify workload).
+BLOCK_BYTES = 2**18
+_GRAM_CHUNK = 256  # columns of a stored matrix per product in gram()
 
 
 class LinearOperator:
@@ -85,10 +97,12 @@ class LinearOperator:
         return (self.out_dim, self.in_dim)
 
     def dense(self, cap: int = MATERIALIZATION_CAP) -> np.ndarray:
-        """Materialize the out_dim x in_dim matrix by applying to the basis.
+        """The out_dim x in_dim matrix: the stored one, in its own dtype,
+        or else complex, materialized by applying to the basis.
 
-        Refuses when out_dim*in_dim exceeds `cap`; structured operators
-        remain usable through apply/adjoint regardless.
+        Refuses to materialize when out_dim*in_dim exceeds `cap`;
+        structured operators remain usable through apply/adjoint
+        regardless.
         """
         if self._dense_cache is not None:
             return self._dense_cache
@@ -108,21 +122,46 @@ class LinearOperator:
 
 
 def _block_call(fn, x: np.ndarray, dim: int, out_dim: int, name: str) -> np.ndarray:
-    """fn applied to a (dim, k) block; any other shape is an error."""
+    """fn applied to a (dim, k) block; any other shape, in or out, is an
+    error."""
     if x.ndim != 2 or x.shape[0] != dim:
         raise ValueError(
             f"{name} expects a ({dim},) vector or a ({dim}, k) block, "
             f"got shape {x.shape}"
         )
-    try:
-        out = fn(x)
-    except ValueError:  # a callable written for vectors only
-        out = None
-    if out is None or np.shape(out) != (out_dim, x.shape[1]):
-        out = np.empty((out_dim, x.shape[1]), dtype=complex)
-        for j in range(x.shape[1]):
-            out[:, j] = fn(x[:, j])
+    out = fn(x)
+    expected = (out_dim, x.shape[1])
+    if np.shape(out) != expected:
+        raise ValueError(
+            f"{name} of a {x.shape} block must return shape {expected}, "
+            f"got {np.shape(out)}"
+        )
     return out
+
+
+def gram(op: LinearOperator) -> np.ndarray:
+    """The out_dim x out_dim Hermitian matrix L L* of L = op.
+
+    With a stored matrix M, the sum of C C* over chunks C of 256 columns
+    of M, in M's dtype (real arithmetic for a real M).  Otherwise column
+    j of L L* is L(L* e_j), formed for as many j at once as a complex128
+    identity block of at most ``BLOCK_BYTES`` holds; L itself is never
+    materialized.
+    """
+    M = op._dense_cache
+    m = op.out_dim
+    if M is not None:
+        G = np.zeros((m, m), dtype=M.dtype)
+        for j in range(0, M.shape[1], _GRAM_CHUNK):
+            C = np.ascontiguousarray(M[:, j : j + _GRAM_CHUNK])
+            G += C @ C.conj().T
+        return G
+    width = max(1, BLOCK_BYTES // (16 * m))
+    G = np.empty((m, m), dtype=complex)
+    for j in range(0, m, width):
+        E = np.eye(m, min(width, m - j), -j, dtype=complex)
+        G[:, j : j + E.shape[1]] = op.apply(op.adjoint(E))
+    return G
 
 
 def adjoint_mismatch(

@@ -98,7 +98,7 @@ def _dense_operator(M: np.ndarray, kind: str, seed: int) -> SensingOperator:
         seed=seed,
         is_complex=is_complex,
     )
-    op._dense_cache = np.asarray(M, dtype=complex)
+    op._dense_cache = M  # as built, in its own dtype: dense() returns it
     return op
 
 

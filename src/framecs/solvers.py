@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .frames import Dictionary, frame_bounds
-from .linops import MATERIALIZATION_CAP, power_iteration
+from .linops import MATERIALIZATION_CAP, LinearOperator, gram, power_iteration
 from .rng import make_rng
 from .sensing import SensingOperator
 from .signals import Signal
@@ -151,36 +151,15 @@ def _clip_modulus(v: np.ndarray, bound: np.ndarray | float) -> np.ndarray:
 # the measurement constraint
 
 
-_CHUNK = 256  # columns per block when forming a Gram matrix
 _NEWTON_ITERS = 50  # cap of the scalar root behind an eps > 0 projection
 
 
-def _gram(apply, adjoint, m: int, M: np.ndarray | None = None) -> np.ndarray:
-    """The m x m Gram matrix of a map with m rows: summed over column
-    chunks of its stored matrix M when given, in real arithmetic when M is
-    real, else formed from blocks of the identity."""
-    if M is not None:
-        G = np.zeros((m, m), dtype=M.dtype)
-        for j in range(0, M.shape[1], _CHUNK):
-            C = np.ascontiguousarray(M[:, j : j + _CHUNK])
-            G += C @ C.conj().T
-        return G
-    G = np.empty((m, m), dtype=complex)
-    for j in range(0, m, _CHUNK):
-        E = np.eye(m, min(_CHUNK, m - j), -j, dtype=complex)
-        G[:, j : j + E.shape[1]] = apply(adjoint(E))
-    return G
-
-
-def _sensing_gram(A: SensingOperator) -> np.ndarray | float:
-    """A A*: n/m for the subsampled DFT (its rows are orthogonal), else the
-    m x m matrix, from A's stored matrix (real when A is) if it has one."""
-    if A.kind == "subsampled_dft_sign":
-        return A.n / A.m
-    M = A._dense_cache
-    if M is not None and not A.is_complex:
-        M = M.real
-    return _gram(A.apply, A.adjoint, A.m, M)
+def _sensing_gram(op: LinearOperator) -> np.ndarray | float:
+    """M M* of a measurement map M: n/m for the subsampled DFT (its rows
+    are orthogonal), else linops.gram (real when M stores a real matrix)."""
+    if isinstance(op, SensingOperator) and op.kind == "subsampled_dft_sign":
+        return op.n / op.m
+    return gram(op)
 
 
 def _same(v: np.ndarray) -> np.ndarray:
@@ -203,16 +182,17 @@ class _Constraint:
     the multiplier, warm-started from the previous projection.
     """
 
-    def __init__(self, apply, adjoint, gram, y, eps, cfg: SolverConfig):
-        self.apply, self.adjoint, self.y, self.eps = apply, adjoint, y, eps
+    def __init__(self, op: LinearOperator, y, eps, cfg: SolverConfig):
+        self.apply, self.adjoint, self.y, self.eps = op.apply, op.adjoint, y, eps
         tol = cfg.tol_feas
         self.tol_feas = 1e-6 * float(np.linalg.norm(y)) if tol is None else tol
         self.U = self.Uh = None
-        if np.ndim(gram):
-            lam, self.U = np.linalg.eigh(gram)
+        mm = _sensing_gram(op)
+        if np.ndim(mm):
+            lam, self.U = np.linalg.eigh(mm)
             self.Uh = self.U.conj().T
         else:
-            lam = np.full(y.size, float(gram))
+            lam = np.full(y.size, float(mm))
         self.live = lam > max(lam[-1], 0.0) * y.size * np.finfo(float).eps
         self.lam = np.where(self.live, lam, 0.0)
         self.inv = self.live / np.where(self.live, lam, 1.0)
@@ -450,7 +430,7 @@ def _analysis(method, A, D, y, eps, cfg, rounds, s, reference, audit_s):
     cfg = cfg or SolverConfig()
     y = _check_inputs(A, y, eps, D)
     s = s if s is not None else max(1, A.m // 4)
-    con = _Constraint(A.apply, A.adjoint, _sensing_gram(A), y, eps, cfg)
+    con = _Constraint(A, y, eps, cfg)
     norm_d = _op_norm(D.apply, D.adjoint, D.n)
     w = np.ones(D.d)
     res = None
@@ -527,13 +507,10 @@ def l1_synthesis(
     cfg = cfg or SolverConfig()
     y = _check_inputs(A, y, eps, D)
 
-    def M(v):
-        return A.apply(D.apply(v))
-
-    def M_adj(q):
-        return D.adjoint(A.adjoint(q))
-
-    con = _Constraint(M, M_adj, _gram(M, M_adj, A.m), y, eps, cfg)
+    AD = LinearOperator(
+        D.d, A.m, lambda v: A.apply(D.apply(v)), lambda q: D.adjoint(A.adjoint(q))
+    )
+    con = _Constraint(AD, y, eps, cfg)
     res = _pdhg(D.d, _same, _same, 1.0, 1.0, con, cfg)
     f_hat = Signal(D.apply(res.x), label="l1_synthesis")
     report = _report("synthesis", A, D, D.d, eps, f_hat, res, reference, audit_s)
@@ -589,14 +566,12 @@ def split_analysis(
     def parts(z):  # (f1, f2), each in the range of its dictionary
         return P1(z[:n]), P2(z[n:])
 
-    def M(z):
-        return A.apply(sum(parts(z)))
-
-    def M_adj(q):
+    def adjoint(q):
         v = A.adjoint(q)
         return np.concatenate([P1(v), P2(v)])
 
-    con = _Constraint(M, M_adj, _gram(M, M_adj, A.m), y, eps, cfg)
+    AP = LinearOperator(2 * n, A.m, lambda z: A.apply(sum(parts(z))), adjoint)
+    con = _Constraint(AP, y, eps, cfg)
     res = _pdhg(
         2 * n,
         lambda z: np.concatenate([D1.adjoint(z[:n]), D2.adjoint(z[n:])]),

@@ -14,7 +14,8 @@ from framecs.frames import (
     from_matrix,
     tighten,
 )
-from framecs.linops import LinearOperator
+from framecs import linops
+from framecs.linops import LinearOperator, gram
 from framecs.rng import make_rng
 from framecs.sensing import bernoulli_sensing, gaussian_sensing, subsampled_dft_sign
 
@@ -101,10 +102,47 @@ def test_other_shapes_are_rejected_naming_the_accepted_ones(kind):
         assert str(x.shape) in msg
 
 
-def test_vector_only_callable_is_applied_column_by_column():
-    scale = np.arange(1.0, 6.0)
-    op = LinearOperator(5, 5, lambda x: scale * x, lambda y: scale * y)
+def test_wrong_shaped_block_result_raises_naming_the_expected_shape():
+    # apply drops a row of the block; adjoint hands back its transpose
+    op = LinearOperator(5, 5, lambda x: x[:4], lambda y: y.T)
     X = _complex_matrix(5, 3, 13)
-    expected = np.stack([scale * X[:, j] for j in range(3)], axis=1)
-    assert np.array_equal(op.apply(X), expected)
-    assert np.array_equal(op.adjoint(X), expected)
+    for method, got in (("apply", (4, 3)), ("adjoint", (3, 5))):
+        with pytest.raises(ValueError) as err:
+            getattr(op, method)(X)
+        msg = str(err.value)
+        assert f"must return shape (5, 3), got {got}" in msg, msg
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_gram_matches_the_dense_product(kind):
+    op = OPERATORS[kind]()
+    M = op.dense()
+    ref = M @ M.conj().T
+    G = gram(op)
+    assert G.shape == (op.out_dim, op.out_dim)
+    assert np.max(np.abs(G - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_gaussian_gram_is_real_and_the_chunked_product():
+    A = gaussian_sensing(30, 600, seed=4)
+    M = A.dense()
+    assert M.dtype == np.float64
+    ref = np.zeros((30, 30))
+    for j in range(0, 600, 256):
+        C = np.ascontiguousarray(M[:, j : j + 256])
+        ref += C @ C.T
+    G = gram(A)
+    assert G.dtype == np.float64
+    assert np.array_equal(G, ref)
+
+
+def test_gram_blocks_stay_within_the_budget(monkeypatch):
+    D = build_gabor(64, 8.0, 8, 1 / 32)
+    widths = []
+    inner = D._adjoint
+    D._adjoint = lambda y: widths.append(y.shape[1]) or inner(y)
+    monkeypatch.setattr(linops, "BLOCK_BYTES", 16 * D.n * 5)
+    G = gram(D)
+    assert widths == [5] * 12 + [4]
+    M = D.dense()
+    assert np.max(np.abs(G - M @ M.conj().T)) <= 1e-12

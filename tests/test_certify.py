@@ -28,10 +28,12 @@ from framecs.solvers import SolverConfig, l1_analysis
 
 
 def diag_operator(values):
+    # (v * x.T).T scales rows, so a (n, k) block works for every k,
+    # k = n included, where v * x would scale columns instead
     v = np.asarray(values, dtype=complex)
     return SensingOperator(
-        len(v), len(v), lambda x: v * x, lambda y: np.conj(v) * y, "dense", 0,
-        bool(np.iscomplexobj(values)),
+        len(v), len(v), lambda x: (v * x.T).T, lambda y: (np.conj(v) * y.T).T,
+        "dense", 0, bool(np.iscomplexobj(values)),
     )
 
 

@@ -1,4 +1,6 @@
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,6 +117,67 @@ class TestGabor:
             assert np.linalg.norm(D.adjoint(f) - M.conj().T @ f) <= 1e-10 * np.linalg.norm(f)
 
 
+def offset_grid_tables(n, sigma, a, b):
+    """Gabor window tables built the old way, from the full n x n_time
+    offset grid: ({name: table}, gnorm), the fast path's w_qap and w_qpa
+    when 1/b is an integer, else the dense path's windows."""
+    n_time = math.ceil(n / a)
+    t = np.arange(n)
+    offsets = (t[:, None] - a * np.arange(n_time)[None, :]) % n
+    offsets = np.where(offsets > n / 2, offsets - n, offsets).astype(float)
+    if math.isinf(sigma):
+        windows = np.ones_like(offsets)
+    else:
+        windows = np.exp(-(offsets**2) / (2.0 * sigma**2))
+    gnorm = math.sqrt(float(np.sum(windows[:, 0] ** 2)))
+    q = round(1 / b)
+    if abs(1 / b - q) >= 1e-12:
+        return {"windows": windows}, gnorm
+    pad = (-n) % q
+    w3 = np.vstack([windows, np.zeros((pad, n_time))]) if pad else windows
+    w3 = w3.reshape(-1, q, n_time)
+    return {
+        "w_qap": np.ascontiguousarray(w3.transpose(1, 0, 2)),
+        "w_qpa": np.ascontiguousarray(w3.transpose(1, 2, 0)),
+    }, gnorm
+
+
+LATTICES = [
+    (64, 8.0, 8, 1 / 32),
+    (60, 6.0, 4, 1 / 8),  # padded: Q does not divide n
+    (64, math.inf, 8, 1 / 8),
+    (30, 4.0, 3, 0.3),  # 1/b is not an integer: dense ramps
+    (33, 2.5, 5, 1 / 6),
+    (2048, 16.0, 8, 1 / 64),
+]
+
+
+class TestGaborWindowTables:
+    @pytest.mark.parametrize("n, sigma, a, b", LATTICES)
+    def test_tables_match_the_offset_grid_bit_for_bit(self, n, sigma, a, b):
+        D = build_gabor(n, sigma, a, b)
+        ref, gnorm = offset_grid_tables(n, sigma, a, b)
+        held = {
+            **inspect.getclosurevars(D._apply).nonlocals,
+            **inspect.getclosurevars(D._adjoint).nonlocals,
+        }
+        assert held["gnorm"] == gnorm
+        for name, table in ref.items():
+            assert held[name].flags.c_contiguous
+            assert np.array_equal(held[name], table), name
+
+    def test_build_peak_is_two_tables(self):
+        n, a = 2048, 8
+        table = 8 * n * (n // a)  # bytes of one float64 n x n_time table
+        tracemalloc.start()
+        try:
+            build_gabor(n, 16.0, a, 1 / 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * table, peak / table
+
+
 class TestConcat:
     def test_identity_plus_fourier_is_tight(self):
         D = build_concat(
@@ -205,11 +268,12 @@ class TestFrameBounds:
         M = build_gabor(n, sigma, a, b).dense()
         eig = np.linalg.eigvalsh(M @ M.conj().T)
         D = build_gabor(n, sigma, a, b)
-        calls = {"apply": 0, "adjoint": 0}
+        # columns through each map, whether passed one by one or in blocks
+        columns = {"apply": 0, "adjoint": 0}
 
         def counted(name, fn):
             def call(v):
-                calls[name] += 1
+                columns[name] += 1 if v.ndim == 1 else v.shape[1]
                 return fn(v)
 
             return call
@@ -219,7 +283,7 @@ class TestFrameBounds:
             D.kind, D.tight,
         )
         A, B = frame_bounds(C)
-        assert calls == {"apply": n, "adjoint": n}
+        assert columns == {"apply": n, "adjoint": n}
         assert C._dense_cache is None and D._dense_cache is None
         assert A == pytest.approx(eig[0], rel=1e-12)
         assert B == pytest.approx(eig[-1], rel=1e-12)

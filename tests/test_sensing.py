@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,21 @@ class TestGaussian:
         lhs = A.apply(2.5 * u + (1 - 2j) * v)
         rhs = 2.5 * A.apply(u) + (1 - 2j) * A.apply(v)
         assert np.linalg.norm(lhs - rhs) <= 1e-12 * (np.linalg.norm(lhs) + 1)
+
+    def test_matrix_is_stored_once_as_float64(self):
+        m, n = 400, 8192
+        tracemalloc.start()
+        try:
+            A = gaussian_sensing(m, n, seed=5)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the matrix and the transposed copy its adjoint multiplies by
+        assert retained <= 2.5 * 8 * m * n, retained / (8 * m * n)
+        M = A.dense()
+        assert M.dtype == np.float64 and M.shape == (m, n)
+        assert M is A.dense()
+        assert bernoulli_sensing(3, 5, seed=1).dense().dtype == np.float64
 
 
 class TestBernoulli:

@@ -502,7 +502,7 @@ def test_projection_matches_dense_reference(kind, m, n, eps_frac):
         y = y + rng.standard_normal(m)
     z = 3.0 * (rng.standard_normal(n) + 1j * rng.standard_normal(n))
     eps = eps_frac * float(np.linalg.norm(A.apply(z) - y))
-    con = _Constraint(A.apply, A.adjoint, _sensing_gram(A), y, eps, SolverConfig())
+    con = _Constraint(A, y, eps, SolverConfig())
     ref = dense_projection(A.dense(), y, eps, z)
     assert np.linalg.norm(con.project(z) - ref) <= 1e-10 * np.linalg.norm(ref)
 
