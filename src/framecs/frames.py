@@ -46,9 +46,11 @@ class Dictionary(LinearOperator):
         self.d = int(d)
         self.kind = kind
         self.tight = bool(tight)
-        # (exact, (A, B)): the last frame_bounds result and whether it came
-        # from the dense eigensolve or the power branch.
-        self._bounds_cache: tuple[bool, tuple[float, float]] | None = None
+        # (branch, (A, B)): "lattice" for exact bounds from the structure,
+        # set at build time and read by the solvers; else the last
+        # frame_bounds result with the branch that produced it, "dense" or
+        # "power".
+        self._bounds_cache: tuple[str, tuple[float, float]] | None = None
 
     def __repr__(self):
         return (
@@ -92,6 +94,22 @@ def _gabor_grid(n: int, a: int, b: float) -> tuple[int, int]:
     return n_time, n_freq
 
 
+def _lattice_bounds(g: np.ndarray, a: int, q: int) -> tuple[float, float]:
+    """Extreme eigenvalues of S = D D* for the Gabor frame of window g on
+    the lattice (a, 1/q), when a | q | n.
+
+    S is block-diagonal by t mod q, block r + a equals block r, and each
+    block is circulant in t // q (Zibulski and Zeevi 1997; Strohmer 1998),
+    so the whole spectrum is
+    lam[r, j] = (a / ||g||^2) sum_{l < q/a} |G_r[j + l n/q]|^2,  r < a,
+    with G_r the length-n/a DFT of k2 -> g((r - k2*a) mod n).
+    """
+    n = g.size
+    G = np.fft.fft(g[(np.arange(a)[:, None] - a * np.arange(n // a)) % n], axis=1)
+    lam = a / np.sum(g**2) * (np.abs(G) ** 2).reshape(a, q // a, n // q).sum(axis=1)
+    return float(lam.min()), float(lam.max())
+
+
 def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     """Gabor frame with a circularly wrapped Gaussian window.
 
@@ -99,6 +117,13 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     indexed on the grid k2*a in [0,n), k1*b in [0,1).  The window is
     g(t) = exp(-t^2 / (2*sigma^2)) evaluated at the signed circular
     distance; sigma = inf gives a flat window.
+
+    On a lattice with integer Q = 1/b, a | Q and Q | n, the build also
+    computes the exact frame bounds from one length-n/a FFT per residue
+    r < a (see _lattice_bounds) and stores them as a "lattice" entry in
+    ``_bounds_cache``, which frame_bounds returns and from which the
+    solvers take ||D|| = sqrt(B); ``tight`` is set when B - A <= 1e-12 B.
+    Other lattices carry no entry and are not marked tight.
 
     Grids with a*b > 1 are undersampled and cannot form a frame; they are
     rejected.
@@ -138,6 +163,9 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     q = 1.0 / b
     q_int = int(round(q))
     fast = abs(q - q_int) < 1e-12 and q_int == n_freq
+    bounds = None
+    if fast and q_int % a == 0 and n % q_int == 0:
+        bounds = _lattice_bounds(g, a, q_int)
     if fast:
         # Phases repeat with period Q = 1/b, so time splits as t = alpha*Q + tau
         # and both directions become one small FFT plus a batched window
@@ -195,7 +223,11 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
             coef = ramps.conj() @ u  # [(col), k1, k2]
             return (coef.T / gnorm).reshape(d, *f.shape[1:])
 
-    return Dictionary(n, d, apply, adjoint, kind="gabor", tight=False)
+    tight = bounds is not None and bounds[1] - bounds[0] <= 1e-12 * bounds[1]
+    out = Dictionary(n, d, apply, adjoint, kind="gabor", tight=tight)
+    if bounds is not None:
+        out._bounds_cache = ("lattice", bounds)
+    return out
 
 
 def build_concat(D1: Dictionary, D2: Dictionary, scale: float = 1.0) -> Dictionary:
@@ -256,18 +288,20 @@ def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
     ``linops.gram``: blocks of identity columns through D* and then D, or
     chunked products of D's matrix when D stores one; memory is one n x n
     complex S, never the n x d D.  Beyond that, power iteration on the
-    frame operator and on B*I - D D*, at most 500 steps each.  The step cap can bind: on build_gabor(256, 8.0, 8, 1/32) the
-    power branch lands within 6e-5 (A) and 8e-5 (B) relative of the
-    dense eigenvalues.
+    frame operator and on B*I - D D*, at most 500 steps each.  The step
+    cap can bind: on the frame of build_gabor(256, 8.0, 8, 1/32) the power
+    branch lands within 6e-5 (A) and 8e-5 (B) relative of the dense
+    eigenvalues.
 
-    The result is cached on D together with the branch that produced it,
-    so a later call whose ``dense_limit`` selects the other branch
-    recomputes.
+    A "lattice" entry (exact bounds that build_gabor stores) answers every
+    ``dense_limit``.  Otherwise the result is cached on D together with the
+    branch that produced it, "dense" or "power", so a later call whose
+    ``dense_limit`` selects the other branch recomputes.
     """
-    exact = D.n <= dense_limit
-    if D._bounds_cache is not None and D._bounds_cache[0] == exact:
+    branch = "dense" if D.n <= dense_limit else "power"
+    if D._bounds_cache is not None and D._bounds_cache[0] in ("lattice", branch):
         return D._bounds_cache[1]
-    if exact:
+    if branch == "dense":
         eig = np.linalg.eigvalsh(gram(D))
         A, B = float(eig[0]), float(eig[-1])
     else:
@@ -280,7 +314,7 @@ def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
             lambda v: B * v - frame_op(v), D.n, make_rng(0x5EED, D.n), 500
         )
     A = max(A, 0.0)
-    D._bounds_cache = (exact, (A, B))
+    D._bounds_cache = (branch, (A, B))
     return A, B
 
 

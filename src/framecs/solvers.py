@@ -55,10 +55,12 @@ class SolverConfig:
     means the relative primal and dual residuals and the relative duality
     gap are all <= tol_rel, and the returned iterate passes the tol_feas
     guard ||A fhat - y||_2 <= eps + tol_feas (None: 1e-6 ||y||_2, fixed at
-    solve time); the projection keeps iterates feasible to roundoff, so
-    the guard binds only when roundoff exceeds tol_feas.  over_relaxation
-    is the relaxation factor in [1, 2).  step_ratio is the starting
-    tau/sigma, which the engine rebalances every iteration.
+    solve time; the misfit is the one the projection's eigen-coordinates
+    give, and the report's feasibility applies A); the projection keeps
+    iterates feasible to roundoff, so the guard binds only when roundoff
+    exceeds tol_feas.  over_relaxation is the relaxation factor in
+    [1, 2).  step_ratio is the starting tau/sigma, which the engine
+    rebalances every iteration.
     """
 
     max_iter: int = 20000
@@ -217,11 +219,21 @@ class _Constraint:
 
     def project(self, z: np.ndarray) -> np.ndarray:
         r = self.apply(z) - self.y
+        # misfit() forms M x - y = r - U (lam c) of the returned x = z - M* U c
+        self._r, self._c = r, None
         if not self.least_squares and float(np.linalg.norm(r)) <= self.eps:
             return z
         rh = self._to_eig(r)
         coef = self.inv if self.least_squares else self._shrink(np.abs(rh) ** 2)
-        return z - self.adjoint(self._from_eig(coef * rh))
+        self._c = coef * rh
+        return z - self.adjoint(self._from_eig(self._c))
+
+    def misfit(self) -> np.ndarray:
+        """M x - y at the last projection's output x, from that
+        projection's residual and eigen-coefficients, without applying M."""
+        if self._c is None:
+            return self._r
+        return self._r - self._from_eig(self.lam * self._c)
 
     def _shrink(self, a: np.ndarray) -> np.ndarray:
         """mu / (1 + mu lam) on the live eigenvectors, mu the root of
@@ -237,11 +249,12 @@ class _Constraint:
         self.mu = mu
         return self.live * (mu / (1.0 + mu * lam))
 
-    def gap(self, x: np.ndarray, g: np.ndarray) -> tuple[float, float]:
-        """(eps ||u|| - Re<u, M x - y>, ||M x - y||) at the least-squares
-        multiplier u = -(M M*)^+ M g of a dual point with K* p = g: the
-        constraint's share of the duality gap, >= 0 for a feasible x."""
-        r = self.apply(x) - self.y
+    def gap(self, g: np.ndarray) -> tuple[float, float]:
+        """(eps ||u|| - Re<u, M x - y>, ||M x - y||) at the last projection's
+        output x and the least-squares multiplier u = -(M M*)^+ M g of a
+        dual point with K* p = g: the constraint's share of the duality
+        gap, >= 0 for a feasible x."""
+        r = self.misfit()
         u = -self._from_eig(self.inv * self._to_eig(self.apply(g)))
         slack = self.eps * float(np.linalg.norm(u)) - float(np.vdot(u, r).real)
         return slack, float(np.linalg.norm(r))
@@ -270,10 +283,15 @@ _DECAY = 0.99  # each adaptation multiplies the factor by this
 _BALANCE = 1.5  # residual ratio beyond which the steps adapt
 
 
-def _op_norm(apply, adjoint, dim: int) -> float:
-    """||L|| of L = apply (range C^dim), by power iteration on L L*."""
+def _op_norm(D: Dictionary) -> float:
+    """||D||: sqrt(B) from a "lattice" bounds entry (build_gabor's exact
+    frame bounds), else power iteration on D D*.  Cached "dense" and
+    "power" entries are ignored, so the step size, and with it the solve,
+    does not depend on whether frame_bounds ran on D before."""
+    if D._bounds_cache is not None and D._bounds_cache[0] == "lattice":
+        return math.sqrt(D._bounds_cache[1][1])
     rng = make_rng(_POWER_SEED, stream=0x9090)
-    lam = power_iteration(lambda v: apply(adjoint(v)), dim, rng, _POWER_ITERS)
+    lam = power_iteration(lambda v: D.apply(D.adjoint(v)), D.n, rng, _POWER_ITERS)
     return math.sqrt(max(lam, 0.0))
 
 
@@ -315,7 +333,7 @@ def _pdhg(n_primal, K, K_adj, norm_k, weights, con, cfg, x0=None, p0=None) -> _S
             primal = float(np.sum(weights * np.abs(kxt)))
             # duality gap at (xt; pt, u): the l1 term's complementarity
             # plus the constraint's, both >= 0
-            slack, feas = con.gap(xt, kpt)
+            slack, feas = con.gap(kpt)
             gap = primal - float(np.vdot(pt, kxt).real) + slack
             if gap <= tol * primal and feas <= con.eps + con.tol_feas:
                 converged = True
@@ -431,7 +449,7 @@ def _analysis(method, A, D, y, eps, cfg, rounds, s, reference, audit_s):
     y = _check_inputs(A, y, eps, D)
     s = s if s is not None else max(1, A.m // 4)
     con = _Constraint(A, y, eps, cfg)
-    norm_d = _op_norm(D.apply, D.adjoint, D.n)
+    norm_d = _op_norm(D)
     w = np.ones(D.d)
     res = None
     for r in range(rounds):
@@ -576,7 +594,7 @@ def split_analysis(
         2 * n,
         lambda z: np.concatenate([D1.adjoint(z[:n]), D2.adjoint(z[n:])]),
         lambda p: np.concatenate([D1.apply(p[:d1]), D2.apply(p[d1:])]),
-        max(_op_norm(D1.apply, D1.adjoint, n), _op_norm(D2.apply, D2.adjoint, n)),
+        max(_op_norm(D1), _op_norm(D2)),
         1.0, con, cfg,
     )
     f1, f2 = parts(res.x)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from framecs.certify import _is_tight
 from framecs.frames import (
     Dictionary,
     build_concat,
@@ -19,13 +20,19 @@ from framecs.frames import (
     gram_pnorm_factor,
     tighten,
 )
-from framecs.linops import adjoint_mismatch
+from framecs.linops import adjoint_mismatch, gram
 from framecs.rng import make_rng
 
 
 def random_unit_pair(rng, n):
     f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     return f, np.linalg.norm(f)
+
+
+def plain(D):
+    """D's maps in a Dictionary without its lattice bounds entry, so
+    frame_bounds takes the dense or power branch."""
+    return Dictionary(D.n, D.d, D.apply, D.adjoint, D.kind, D.tight)
 
 
 class TestOversampledDft:
@@ -254,10 +261,11 @@ class TestFrameBounds:
     def test_power_branch_matches_dense_eig(self):
         # dense_limit below n forces the power branch, whose 500-step cap
         # binds on this frame.
-        D = build_gabor(256, 8.0, 8, 1 / 32)
+        D = plain(build_gabor(256, 8.0, 8, 1 / 32))
         M = D.dense()
         eig = np.linalg.eigvalsh(M @ M.conj().T)
         A, B = frame_bounds(D, dense_limit=16)
+        assert D._bounds_cache[0] == "power"
         assert A == pytest.approx(eig[0], rel=1e-3)
         assert B == pytest.approx(eig[-1], rel=1e-3)
 
@@ -292,7 +300,7 @@ class TestFrameBounds:
         # The dense and power branches differ in the fifth digit here, so a
         # cached result from one branch must not answer a call for the other.
         def fresh():
-            return build_gabor(256, 8.0, 8, 1 / 32)
+            return plain(build_gabor(256, 8.0, 8, 1 / 32))
 
         exact, power = frame_bounds(fresh()), frame_bounds(fresh(), dense_limit=16)
         assert exact != power
@@ -302,6 +310,80 @@ class TestFrameBounds:
         D = fresh()
         assert frame_bounds(D, dense_limit=16) == power
         assert frame_bounds(D) == exact
+
+    def test_lattice_entry_answers_both_branches(self):
+        D = build_gabor(256, 8.0, 8, 1 / 32)
+        branch, bounds = D._bounds_cache
+        assert branch == "lattice"
+        assert frame_bounds(D) == bounds
+        assert frame_bounds(D, dense_limit=16) == bounds
+        assert D._bounds_cache == ("lattice", bounds)
+        assert bounds == pytest.approx(frame_bounds(plain(D)), rel=1e-13)
+
+
+@st.composite
+def dividing_lattices(draw):
+    """(n, a, Q) with a | Q | n and n <= 256."""
+    a = draw(st.integers(1, 8))
+    q = a * draw(st.integers(1, 8))
+    return q * draw(st.integers(1, 256 // q)), a, q
+
+
+def lattice_reference(D):
+    """Extreme eigenvalues of the dense S = D D* of D's maps."""
+    eig = np.linalg.eigvalsh(gram(plain(D)))
+    return eig[0], eig[-1]
+
+
+class TestLatticeBounds:
+    @pytest.mark.parametrize("n, sigma, a, b", [
+        (1024, 16.0, 8, 1 / 64),  # radar, and certify's frame bounds
+        (256, 8.0, 8, 1 / 32),  # noise
+        (64, 8.0, 8, 1 / 32),  # certify's Monte Carlo frame
+        (8, math.inf, 8, 1 / 8),
+        (64, 4.0, 4, 1 / 16),
+        (96, 5.0, 3, 1 / 12),
+    ])
+    def test_bounds_match_the_dense_eigensolve(self, n, sigma, a, b):
+        D = build_gabor(n, sigma, a, b)
+        branch, (A, B) = D._bounds_cache
+        assert branch == "lattice"
+        ref_a, ref_b = lattice_reference(D)
+        assert A == pytest.approx(ref_a, rel=1e-13)
+        assert B == pytest.approx(ref_b, rel=1e-13)
+
+    @given(dividing_lattices(), st.one_of(st.floats(0.5, 40.0), st.just(math.inf)))
+    @settings(max_examples=40, deadline=None)
+    def test_bounds_on_every_dividing_lattice(self, lattice, sigma):
+        n, a, q = lattice
+        D = build_gabor(n, sigma, a, 1 / q)
+        branch, (A, B) = D._bounds_cache
+        assert branch == "lattice"
+        ref_a, ref_b = lattice_reference(D)
+        assert abs(A - ref_a) <= 1e-12 * ref_b
+        assert abs(B - ref_b) <= 1e-12 * ref_b
+
+    @pytest.mark.parametrize("n, sigma, a, b", [
+        (60, 6.0, 4, 1 / 8),  # Q does not divide n: padded tables
+        (48, 4.0, 3, 1 / 8),  # a does not divide Q
+        (40, 4.0, 4, 3 / 20),  # 1/b = 20/3 is not an integer
+    ])
+    def test_other_lattices_keep_the_dense_and_power_branches(self, n, sigma, a, b):
+        D = build_gabor(n, sigma, a, b)
+        assert D._bounds_cache is None and not D.tight
+        ref_a, ref_b = lattice_reference(D)
+        A, B = frame_bounds(D)
+        assert D._bounds_cache[0] == "dense"
+        assert (A, B) == pytest.approx((ref_a, ref_b), rel=1e-12)
+        frame_bounds(D, dense_limit=1)
+        assert D._bounds_cache[0] == "power"
+
+    def test_tight_flag_follows_the_lattice_bounds(self):
+        flat = build_gabor(8, math.inf, 8, 1 / 8)
+        radar = build_gabor(1024, 16.0, 8, 1 / 64)
+        assert flat.tight and not radar.tight
+        # the flag agrees with the numerical probe verify_error_bound uses
+        assert _is_tight(flat) and not _is_tight(radar)
 
 
 class TestCoherence:

@@ -6,9 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from framecs.frames import (
+    Dictionary,
     build_concat,
+    build_gabor,
     build_identity,
     build_oversampled_dft,
+    frame_bounds,
     from_matrix,
 )
 from framecs.linops import power_iteration
@@ -24,6 +27,7 @@ from framecs.signals import Signal, dirac_comb, metrics
 from framecs.solvers import (
     SolverConfig,
     _Constraint,
+    _op_norm,
     _sensing_gram,
     l1_analysis,
     l1_synthesis,
@@ -449,7 +453,7 @@ SENSING = {
 @pytest.mark.parametrize("max_iter", [1, 5, 200])
 @pytest.mark.parametrize("kind", sorted(SENSING))
 @pytest.mark.parametrize("method", sorted(PROGRAMS))
-def test_every_iterate_is_feasible(method, kind, max_iter, noisy):
+def test_every_iterate_is_feasible(method, kind, max_iter, noisy, monkeypatch):
     # the primal prox is the projection onto the constraint, so a solve
     # stopped at any iteration returns a feasible signal
     n, m = 32, 20
@@ -457,9 +461,84 @@ def test_every_iterate_is_feasible(method, kind, max_iter, noisy):
     D = build_oversampled_dft(n, 2)
     y, znorm = measure(A, make_rng(1).standard_normal(n) + 0j,
                        0.1 if noisy else 0.0, seed=5)
+    # the misfit each projection keeps for the duality gap is M x - y
+    # applied directly
+    defects = []
+    project = _Constraint.project
+
+    def checked(con, z):
+        x = project(con, z)
+        defects.append(float(np.linalg.norm(con.misfit() - (con.apply(x) - con.y))))
+        return x
+
+    monkeypatch.setattr(_Constraint, "project", checked)
     cfg = SolverConfig(max_iter=max_iter, over_relaxation=1.8)
     rep = PROGRAMS[method](A, D, y, znorm, cfg)
     assert rep.feasibility <= znorm + 1e-12 * np.linalg.norm(y)
+    assert defects and max(defects) <= 1e-12 * np.linalg.norm(y)
+
+
+def counting(D, keep_bounds):
+    """A Dictionary that counts the columns through D's maps; with
+    keep_bounds it carries D's bounds entry, as perfbench's proxy does."""
+    columns = {"apply": 0, "adjoint": 0}
+
+    def counted(name, fn):
+        def call(v):
+            columns[name] += 1 if v.ndim == 1 else v.shape[1]
+            return fn(v)
+
+        return call
+
+    C = Dictionary(
+        D.n, D.d, counted("apply", D.apply), counted("adjoint", D.adjoint),
+        D.kind, D.tight,
+    )
+    if keep_bounds:
+        C._bounds_cache = D._bounds_cache
+    return C, columns
+
+
+class TestStepNorm:
+    def test_lattice_gabor_solve_skips_the_power_steps(self):
+        D = build_gabor(64, 4.0, 4, 1 / 16)
+        A = gaussian_sensing(24, 64, seed=3)
+        y, _ = measure(A, make_rng(2).standard_normal(64) + 0j, 0.0, seed=1)
+        # the power steps _op_norm takes without the lattice entry
+        P, power = counting(D, keep_bounds=False)
+        _op_norm(P)
+        steps = power["apply"]
+        assert steps > 0 and power == {"apply": steps, "adjoint": steps}
+        cfg = SolverConfig(max_iter=4, tol_rel=1e-15)
+        used = {}
+        for keep in (True, False):
+            C, used[keep] = counting(D, keep)
+            assert l1_analysis(A, C, y, 0.0, cfg=cfg).iterations == 4
+        # one application of K = D* and of K* = D per iteration, plus the start
+        assert used[True] == {"apply": 5, "adjoint": 5}
+        assert used[False] == {"apply": 5 + steps, "adjoint": 5 + steps}
+
+    def test_norm_is_the_root_of_the_upper_frame_bound(self):
+        D = build_gabor(1024, 16.0, 8, 1 / 64)
+        assert _op_norm(D) == math.sqrt(frame_bounds(D)[1])
+        assert _op_norm(D) ** 2 == pytest.approx(frame_bounds(D)[1], rel=4e-16)
+
+    def test_off_lattice_solve_ignores_earlier_frame_bounds(self):
+        A = gaussian_sensing(24, 60, seed=4)
+        y, _ = measure(A, make_rng(3).standard_normal(60) + 0j, 0.0, seed=1)
+        cfg = SolverConfig(max_iter=300, over_relaxation=1.8)
+        reports = []
+        for limit in (None, 4096, 1):
+            D = build_gabor(60, 6.0, 4, 1 / 8)
+            if limit is not None:
+                frame_bounds(D, dense_limit=limit)
+            reports.append(l1_analysis(A, D, y, 0.0, cfg=cfg))
+        first = reports[0]
+        for rep in reports[1:]:
+            assert np.array_equal(rep.f_hat.samples, first.f_hat.samples)
+            assert (rep.objective, rep.feasibility, rep.iterations, rep.converged) == (
+                first.objective, first.feasibility, first.iterations, first.converged
+            )
 
 
 def dense_projection(M, y, eps, z):
