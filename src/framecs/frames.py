@@ -3,7 +3,11 @@
 A dictionary D maps coefficient vectors in C^d to signals in C^n
 (synthesis); its adjoint D* computes analysis coefficients.  Structured
 constructors (oversampled DFT, Gabor) get FFT fast paths; everything can
-fall back to a dense matrix below the materialization cap.
+fall back to a dense matrix below the materialization cap.  A Gabor frame
+with integer Q = 1/b runs its window as a batched GEMM against a stored
+window table while that table fits in cache; on a lattice with a | Q | n
+whose table would not, D and D* run in the Zak domain instead, as one
+length-n/Q FFT convolution per (tau, rho) from a table of n*Q/a values.
 
 All arithmetic is complex double precision.  Real signals ride along with
 zero imaginary part.
@@ -110,6 +114,58 @@ def _lattice_bounds(g: np.ndarray, a: int, q: int) -> tuple[float, float]:
     return float(lam.min()), float(lam.max())
 
 
+# A dividing lattice (a | Q | n) whose GEMM window table, 8*n*ceil(n/a)
+# bytes, exceeds this runs D and D* in the Zak domain.  The GEMM is the
+# direct convolution and wins while its table is small against the 2 MiB
+# per-core L2 of the 2-core benchmark VM.  One D + D* pair there, min/median
+# of 31 runs in microseconds, GEMM -> Zak:
+#   n = 256,  Q = 32 (64 KiB table)        76/80 ->   126/136
+#   n = 1024, Q = 64 (1 MiB table)        390/419 ->   307/326
+#   n = 2048, Q = 64 (4 MiB table)      2,637/2,754 ->   581/616
+#   n = 8192, Q = 64 (64 MiB table)    22,019/23,537 -> 2,645/2,812
+# The limit sits above 1 MiB, where the Zak maps already win, so that the
+# radar experiment's lattice keeps the outputs of the direct path.
+_GEMM_TABLE_BYTES = 2**21
+
+
+def _zak_maps(g: np.ndarray, gnorm: float, a: int, q: int):
+    """(apply, adjoint) of the Gabor frame of window g on the lattice
+    (a, 1/q), a | q | n, in the Zak domain.
+
+    With N = n/q, time t = alpha*q + tau and atom k = (beta*(q/a) + rho)*q
+    + k1, synthesis is, for each (tau, rho), a circular convolution over
+    alpha of length N with kernel g((gamma*q + tau - rho*a) mod n), so it
+    diagonalises under a length-N DFT (Zibulski and Zeevi 1997; Strohmer
+    1998).  The one table is
+    H[w, rho, tau] = sum_gamma g((gamma q + tau - rho a) mod n)
+    e^{2 pi i w gamma / N} / (||g|| N), n*q/a complex values.
+    """
+    n = g.size
+    N, R = n // q, q // a
+    gamma = q * np.arange(N)[:, None, None]
+    H = np.fft.ifft(
+        g[(gamma + np.arange(q) - a * np.arange(R)[:, None]) % n], axis=0, norm="forward"
+    ) / (gnorm * N)  # [w, rho, tau]
+
+    # A block's columns ride along as a trailing axis, as on the GEMM path.
+    def apply(x: np.ndarray) -> np.ndarray:
+        cols = x.shape[1:]
+        # X[w, rho, tau] = sum_{beta, k1} x[beta, rho, k1] e^{2 pi i (w beta/N + k1 tau/q)}
+        X = np.fft.ifftn(x.reshape(N, R, q, *cols), axes=(0, 2), norm="forward")
+        y = (H.reshape(N, R, q, *(1,) * len(cols)) * X).sum(axis=1)  # [w, tau]
+        return np.fft.fft(y, axis=0).reshape(n, *cols)  # [alpha, tau]
+
+    def adjoint(f: np.ndarray) -> np.ndarray:
+        cols = f.shape[1:]
+        F = np.fft.ifft(f.reshape(N, 1, q, *cols), axis=0, norm="forward")
+        # the inverse DFT over alpha and the forward one over w scale by N,
+        # which the 1/N in H cancels
+        Hc = H.conj().reshape(N, R, q, *(1,) * len(cols))
+        return np.fft.fftn(Hc * F, axes=(0, 2)).reshape(n * R, *cols)
+
+    return apply, adjoint
+
+
 def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     """Gabor frame with a circularly wrapped Gaussian window.
 
@@ -118,12 +174,23 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     g(t) = exp(-t^2 / (2*sigma^2)) evaluated at the signed circular
     distance; sigma = inf gives a flat window.
 
-    On a lattice with integer Q = 1/b, a | Q and Q | n, the build also
-    computes the exact frame bounds from one length-n/a FFT per residue
-    r < a (see _lattice_bounds) and stores them as a "lattice" entry in
-    ``_bounds_cache``, which frame_bounds returns and from which the
-    solvers take ||D|| = sqrt(B); ``tight`` is set when B - A <= 1e-12 B.
-    Other lattices carry no entry and are not marked tight.
+    D and D* take one of three paths:
+
+    - a | Q | n (Q = 1/b) and a GEMM window table of 8*n*ceil(n/a) bytes
+      would exceed ``_GEMM_TABLE_BYTES`` (2 MiB): the Zak-domain maps of
+      _zak_maps, FFTs of sizes n/Q and Q around a pointwise product with
+      one n*Q/a complex table;
+    - any other integer Q: one length-Q FFT plus a batched GEMM against
+      two such window tables, one per direction; this is the direct
+      convolution, fastest while a table fits in cache;
+    - any other b: dense phase ramps and windows.
+
+    On a lattice with a | Q | n, the build also computes the exact frame
+    bounds from one length-n/a FFT per residue r < a (see _lattice_bounds)
+    and stores them as a "lattice" entry in ``_bounds_cache``, which
+    frame_bounds returns and from which the solvers take ||D|| = sqrt(B);
+    ``tight`` is set when B - A <= 1e-12 B.  Other lattices carry no entry
+    and are not marked tight.
 
     Grids with a*b > 1 are undersampled and cannot form a frame; they are
     rejected.
@@ -163,10 +230,11 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     q = 1.0 / b
     q_int = int(round(q))
     fast = abs(q - q_int) < 1e-12 and q_int == n_freq
-    bounds = None
-    if fast and q_int % a == 0 and n % q_int == 0:
-        bounds = _lattice_bounds(g, a, q_int)
-    if fast:
+    lattice = fast and q_int % a == 0 and n % q_int == 0
+    bounds = _lattice_bounds(g, a, q_int) if lattice else None
+    if lattice and 8 * n * n_time > _GEMM_TABLE_BYTES:
+        apply, adjoint = _zak_maps(g, gnorm, a, q_int)
+    elif fast:
         # Phases repeat with period Q = 1/b, so time splits as t = alpha*Q + tau
         # and both directions become one small FFT plus a batched window
         # contraction.  Complex vectors ride through the real GEMMs as

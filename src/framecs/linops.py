@@ -12,9 +12,10 @@ Block contract: ``apply`` takes a length-in_dim vector, shape
 result is the operator applied to column j, to roundoff: a vector keeps
 the exact arithmetic of a one-vector call, and a ``(dim, 1)`` block gives
 the same bits as the vector.  Every callable must keep this contract: a
-block reaches it in one call (the Gabor fast path, for instance, runs its
-FFTs and window contractions over all columns at once), and a result of
-the wrong shape raises ValueError naming the expected one.
+block reaches it in one call (the Gabor GEMM and Zak-domain paths, for
+instance, carry a block's columns as a trailing axis through their FFTs
+and window contractions, so each runs once for all columns), and a result
+of the wrong shape raises ValueError naming the expected one.
 
 ``gram(op)`` forms L L*, the frame operator D D* and the sensing Gram A A*
 alike: from the stored matrix, or else from identity blocks of at most

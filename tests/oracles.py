@@ -1,8 +1,9 @@
-"""Independent oracles for solver verification.
+"""Independent oracles for solver and dictionary verification.
 
 These never touch the package's primal-dual engine: optima are found by
 enumerating vertices of the equivalent linear programs (real, eps = 0
-instances only), so a match is genuine cross-validation.
+instances only), so a match is genuine cross-validation.  Gabor atoms are
+evaluated from their formula, without the package's FFT paths.
 """
 
 from __future__ import annotations
@@ -90,3 +91,29 @@ def synthesis_lp_vertex_oracle(B: np.ndarray, y: np.ndarray):
     if best_x is None:
         raise ValueError("no basic solution found")
     return best_obj, best_x
+
+
+def gabor_window(n: int, sigma: float) -> np.ndarray:
+    """The Gaussian window exp(-t^2 / (2 sigma^2)) at the signed circular
+    distance of t from 0 (flat for sigma = inf), unnormalised."""
+    t = np.arange(n)
+    dist = np.minimum(t, n - t).astype(float)
+    if math.isinf(sigma):
+        return np.ones(n)
+    return np.exp(-(dist**2) / (2.0 * sigma**2))
+
+
+def gabor_atoms(n: int, sigma: float, a: int, b: float, ks) -> np.ndarray:
+    """Columns ks of the Gabor synthesis matrix, straight from the atom
+    formula g((t - k2 a) mod n) e^{2 pi i k1 b t} / ||g||, with atom
+    k = k2 * ceil(1/b) + k1.  An n x len(ks) complex array."""
+    g = gabor_window(n, sigma)
+    n_freq = math.ceil(1.0 / b - 1e-12)
+    ks = np.asarray(ks)
+    k2, k1 = ks // n_freq, ks % n_freq
+    t = np.arange(n)[:, None]
+    shifted = g[(t - a * k2) % n]
+    # the phase in turns, reduced mod 1 before the exponential: b * k1 * t
+    # reaches 1e5 turns at n = 8192, where 2 pi b k1 t would lose 1e-11
+    turns = np.mod(b * (k1 * t), 1.0)
+    return shifted * np.exp(2j * np.pi * turns) / math.sqrt(float(np.sum(g**2)))

@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from framecs.frames import (
+    Dictionary,
+    _zak_maps,
     build_concat,
     build_gabor,
     build_identity,
@@ -18,6 +20,7 @@ from framecs import linops
 from framecs.linops import LinearOperator, gram
 from framecs.rng import make_rng
 from framecs.sensing import bernoulli_sensing, gaussian_sensing, subsampled_dft_sign
+from oracles import gabor_window
 
 
 def _complex_matrix(rows, cols, seed):
@@ -25,8 +28,17 @@ def _complex_matrix(rows, cols, seed):
     return rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
 
 
+def _zak_gabor(n, sigma, a, q):
+    """The Zak-domain maps, which build_gabor keeps for large lattices, on
+    a small one."""
+    g = gabor_window(n, sigma)
+    maps = _zak_maps(g, math.sqrt(float(np.sum(g**2))), a, q)
+    return Dictionary(n, n * q // a, *maps, kind="gabor")
+
+
 OPERATORS = {
     "gabor-fast": lambda: build_gabor(64, 8.0, 8, 1 / 32),
+    "gabor-zak": lambda: _zak_gabor(64, 8.0, 8, 32),
     "gabor-padded": lambda: build_gabor(60, 6.0, 4, 1 / 8),
     "gabor-ramp": lambda: build_gabor(30, 4.0, 3, 0.3),  # 1/b is not an integer
     "dft": lambda: build_oversampled_dft(16, 3),

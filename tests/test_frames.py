@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from framecs.certify import _is_tight
 from framecs.frames import (
+    _GEMM_TABLE_BYTES,
     Dictionary,
+    _zak_maps,
     build_concat,
     build_gabor,
     build_identity,
@@ -20,8 +22,9 @@ from framecs.frames import (
     gram_pnorm_factor,
     tighten,
 )
-from framecs.linops import adjoint_mismatch, gram
+from framecs.linops import LinearOperator, adjoint_mismatch, gram
 from framecs.rng import make_rng
+from oracles import gabor_atoms, gabor_window
 
 
 def random_unit_pair(rng, n):
@@ -149,40 +152,149 @@ def offset_grid_tables(n, sigma, a, b):
     }, gnorm
 
 
+def zak_table_by_its_sum(n, sigma, a, q):
+    """H[w, rho, tau] = sum_gamma g((gamma q + tau - rho a) mod n)
+    e^{2 pi i w gamma / N} / (||g|| N), N = n/q, summed term by term."""
+    g = gabor_window(n, sigma)
+    N = n // q
+    w, rho, tau = np.meshgrid(
+        np.arange(N), np.arange(q // a), np.arange(q), indexing="ij"
+    )
+    H = np.zeros(w.shape, dtype=complex)
+    for gamma in range(N):
+        H += g[(gamma * q + tau - rho * a) % n] * np.exp(2j * np.pi * w * gamma / N)
+    return H / (math.sqrt(float(np.sum(g**2))) * N)
+
+
+def closure_vars(D):
+    return {
+        **inspect.getclosurevars(D._apply).nonlocals,
+        **inspect.getclosurevars(D._adjoint).nonlocals,
+    }
+
+
+def window_path(D):
+    """Which Gabor path D's maps run: "zak", "gemm" or "ramps"."""
+    held = closure_vars(D)
+    return "zak" if "H" in held else "gemm" if "w_qap" in held else "ramps"
+
+
 LATTICES = [
     (64, 8.0, 8, 1 / 32),
     (60, 6.0, 4, 1 / 8),  # padded: Q does not divide n
     (64, math.inf, 8, 1 / 8),
     (30, 4.0, 3, 0.3),  # 1/b is not an integer: dense ramps
     (33, 2.5, 5, 1 / 6),
-    (2048, 16.0, 8, 1 / 64),
+    (2048, 16.0, 8, 1 / 64),  # a 4 MiB GEMM table: Zak-domain maps
+]
+
+# The benchmark's lattices and the path each must take.
+BENCHMARK_LATTICES = [
+    ((256, 8.0, 8, 1 / 32), "gemm"),  # noise, 64 KiB table
+    ((1024, 16.0, 8, 1 / 64), "gemm"),  # radar and certify's frame bounds, 1 MiB
+    ((64, 8.0, 8, 1 / 32), "gemm"),  # certify's Monte Carlo frame, 4 KiB
+    ((8192, 16.0, 8, 1 / 64), "zak"),  # fullsize, 64 MiB
 ]
 
 
 class TestGaborWindowTables:
     @pytest.mark.parametrize("n, sigma, a, b", LATTICES)
     def test_tables_match_the_offset_grid_bit_for_bit(self, n, sigma, a, b):
+        """GEMM and ramp tables equal the offset grid's bit for bit; a
+        Zak-side table equals its defining sum."""
         D = build_gabor(n, sigma, a, b)
+        held = closure_vars(D)
+        if window_path(D) == "zak":
+            q = round(1 / b)
+            ref = zak_table_by_its_sum(n, sigma, a, q)
+            assert held["H"].shape == (n // q, q // a, q)
+            assert np.max(np.abs(held["H"] - ref)) <= 1e-13 * np.max(np.abs(ref))
+            return
         ref, gnorm = offset_grid_tables(n, sigma, a, b)
-        held = {
-            **inspect.getclosurevars(D._apply).nonlocals,
-            **inspect.getclosurevars(D._adjoint).nonlocals,
-        }
         assert held["gnorm"] == gnorm
         for name, table in ref.items():
             assert held[name].flags.c_contiguous
             assert np.array_equal(held[name], table), name
 
     def test_build_peak_is_two_tables(self):
-        n, a = 2048, 8
+        # the largest benchmark lattice on the GEMM side
+        n, a = 1024, 8
         table = 8 * n * (n // a)  # bytes of one float64 n x n_time table
         tracemalloc.start()
         try:
-            build_gabor(n, 16.0, a, 1 / 64)
+            D = build_gabor(n, 16.0, a, 1 / 64)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        assert window_path(D) == "gemm"
         assert peak <= 2.5 * table, peak / table
+
+    def test_zak_build_peak_stays_small(self):
+        # two GEMM tables would take 128 MiB here
+        tracemalloc.start()
+        try:
+            D = build_gabor(8192, 16.0, 8, 1 / 64)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert window_path(D) == "zak"
+        assert peak <= 8 * 2**20, peak / 2**20
+
+    @pytest.mark.parametrize("lattice, path", BENCHMARK_LATTICES)
+    def test_benchmark_lattices_take_their_paths(self, lattice, path):
+        n, _, a, _ = lattice
+        assert (8 * n * math.ceil(n / a) > _GEMM_TABLE_BYTES) == (path == "zak")
+        assert window_path(build_gabor(*lattice)) == path
+
+    @pytest.mark.parametrize("n, sigma, a, b", [
+        (2000, 16.0, 8, 1 / 64),  # Q does not divide n, 4 MB table
+        (1536, 8.0, 3, 1 / 64),  # a does not divide Q, 6 MiB table
+    ])
+    def test_other_lattices_keep_the_gemm_path_at_any_size(self, n, sigma, a, b):
+        assert 8 * n * math.ceil(n / a) > _GEMM_TABLE_BYTES
+        assert window_path(build_gabor(n, sigma, a, b)) == "gemm"
+
+
+def sampled_atoms(D, n, sigma, a, b, count):
+    """(ks, M[:, ks]): every atom of D, or `count` of them drawn at random
+    with the first and last among them, from the atom formula."""
+    if count >= D.d:
+        ks = np.arange(D.d)
+    else:
+        ks = np.unique(np.r_[0, D.d - 1, make_rng(31, D.d).choice(D.d, count)])
+    return ks, gabor_atoms(n, sigma, a, b, ks)
+
+
+class TestGaborAtoms:
+    """D and D* of every Gabor path against columns built from the atom
+    formula g((t - k2 a) mod n) e^{2 pi i k1 b t} / ||g||, not from D."""
+
+    @pytest.mark.parametrize(
+        "n, sigma, a, b", LATTICES + [(8192, 16.0, 8, 1 / 64)]
+    )
+    def test_maps_match_the_atom_formula(self, n, sigma, a, b):
+        D = build_gabor(n, sigma, a, b)
+        ks, M = sampled_atoms(D, n, sigma, a, b, 48)
+        rng = make_rng(32, n)
+        # unit vectors, one at a time and as one identity block
+        E = np.zeros((D.d, ks.size), dtype=complex)
+        E[ks, np.arange(ks.size)] = 1.0
+        for j in (0, ks.size // 2, ks.size - 1):
+            col = D.apply(E[:, j])
+            assert np.linalg.norm(col - M[:, j]) <= 1e-12 * np.linalg.norm(M[:, j])
+        cols = D.apply(E)
+        assert np.max(np.abs(cols - M)) <= 1e-12 * np.max(np.abs(M))
+        # random blocks on the sampled columns
+        X = np.zeros((D.d, 3), dtype=complex)
+        X[ks] = rng.standard_normal((ks.size, 3)) + 1j * rng.standard_normal((ks.size, 3))
+        ref = M @ X[ks]
+        assert np.linalg.norm(D.apply(X) - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the adjoint through the same atoms, for a vector and a block
+        F = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        ref = M.conj().T @ F
+        assert np.linalg.norm(D.adjoint(F)[ks] - ref) <= 1e-12 * np.linalg.norm(ref)
+        got = D.adjoint(F[:, 0])[ks]
+        assert np.linalg.norm(got - ref[:, 0]) <= 1e-12 * np.linalg.norm(ref[:, 0])
 
 
 class TestConcat:
@@ -327,6 +439,28 @@ def dividing_lattices(draw):
     a = draw(st.integers(1, 8))
     q = a * draw(st.integers(1, 8))
     return q * draw(st.integers(1, 256 // q)), a, q
+
+
+class TestZakMaps:
+    @given(dividing_lattices(), st.one_of(st.floats(0.5, 40.0), st.just(math.inf)))
+    @settings(max_examples=40, deadline=None)
+    def test_zak_maps_equal_the_gemm_maps(self, lattice, sigma):
+        n, a, q = lattice
+        D = build_gabor(n, sigma, a, 1 / q)
+        assert window_path(D) == "gemm"
+        g = gabor_window(n, sigma)
+        apply, adjoint = _zak_maps(g, math.sqrt(float(np.sum(g**2))), a, q)
+        rng = make_rng(33, n)
+        for fn, ref, dim in ((apply, D.apply, D.d), (adjoint, D.adjoint, n)):
+            for shape in ((dim,), (dim, 3)):
+                v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                want = ref(v)
+                assert np.linalg.norm(fn(v) - want) <= 1e-13 * np.linalg.norm(want)
+            # a (dim, 1) block gives the vector's bits
+            v = rng.standard_normal((dim, 1)) + 1j * rng.standard_normal((dim, 1))
+            assert np.array_equal(fn(v)[:, 0], fn(v[:, 0]))
+        op = LinearOperator(D.d, n, apply, adjoint)
+        assert adjoint_mismatch(op, rng, trials=4) <= 1e-10
 
 
 def lattice_reference(D):
