@@ -181,8 +181,9 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
       _zak_maps, FFTs of sizes n/Q and Q around a pointwise product with
       one n*Q/a complex table;
     - any other integer Q: one length-Q FFT plus a batched GEMM against
-      two such window tables, one per direction; this is the direct
-      convolution, fastest while a table fits in cache;
+      one such window table, which D* reads through a transposed view;
+      this is the direct convolution, fastest while the table fits in
+      cache;
     - any other b: dense phase ramps and windows.
 
     On a lattice with a | Q | n, the build also computes the exact frame
@@ -247,7 +248,7 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
         for tau in range(q_int):
             rows = np.arange(tau, n, q_int)
             w_qap[tau, : rows.size] = g[(rows[:, None] - shifts) % n]
-        w_qpa = np.ascontiguousarray(w_qap.transpose(0, 2, 1))  # [tau, k2, alpha]
+        w_qpa = w_qap.transpose(0, 2, 1)  # [tau, k2, alpha], a view: no copy
 
         # A block's k columns ride along as a trailing axis (``cols``, empty
         # for a vector), so they widen the GEMMs instead of repeating them.

@@ -66,28 +66,17 @@ def _parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _dense_operator(M: np.ndarray, kind: str, seed: int) -> SensingOperator:
-    is_complex = bool(np.iscomplexobj(M))
-    if is_complex:
-        Mh = M.conj().T
+    # M is float64 and the only stored table: the adjoint multiplies by the
+    # transposed view M.T, which BLAS reads with its transpose flag.
+    # Complex inputs are split so BLAS runs real products instead of
+    # promoting the matrix on every call.
+    def apply(v):
+        re, im = _parts(v)
+        return (M @ re) + 1j * (M @ im)
 
-        def apply(v):
-            return M @ v
-
-        def adjoint(y):
-            return Mh @ y
-
-    else:
-        # Split complex inputs so BLAS runs real products instead of
-        # promoting the matrix on every call.
-        Mt = np.ascontiguousarray(M.T)
-
-        def apply(v):
-            re, im = _parts(v)
-            return (M @ re) + 1j * (M @ im)
-
-        def adjoint(y):
-            re, im = _parts(y)
-            return (Mt @ re) + 1j * (Mt @ im)
+    def adjoint(y):
+        re, im = _parts(y)
+        return (M.T @ re) + 1j * (M.T @ im)
 
     op = SensingOperator(
         m=M.shape[0],
@@ -96,9 +85,9 @@ def _dense_operator(M: np.ndarray, kind: str, seed: int) -> SensingOperator:
         adjoint=adjoint,
         kind=kind,
         seed=seed,
-        is_complex=is_complex,
+        is_complex=False,
     )
-    op._dense_cache = M  # as built, in its own dtype: dense() returns it
+    op._dense_cache = M  # dense() returns the one stored table
     return op
 
 
@@ -106,7 +95,8 @@ def gaussian_sensing(m: int, n: int, seed: int) -> SensingOperator:
     """iid N(0, 1/m) entries."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    M = make_rng(seed).standard_normal((m, n)) / math.sqrt(m)
+    M = make_rng(seed).standard_normal((m, n))
+    M /= math.sqrt(m)  # in place: no second m x n temporary
     return _dense_operator(M, kind="gaussian", seed=seed)
 
 
@@ -114,8 +104,11 @@ def bernoulli_sensing(m: int, n: int, seed: int) -> SensingOperator:
     """iid +-1/sqrt(m) entries, equiprobable."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    rng = make_rng(seed)
-    M = (2.0 * rng.integers(0, 2, size=(m, n)) - 1.0) / math.sqrt(m)
+    M = make_rng(seed).integers(0, 2, size=(m, n)).astype(float)
+    # (2 M - 1) / sqrt(m) in place, bit for bit: no further m x n temporaries
+    M *= 2.0
+    M -= 1.0
+    M /= math.sqrt(m)
     return _dense_operator(M, kind="bernoulli", seed=seed)
 
 

@@ -281,6 +281,7 @@ _POWER_SEED = 0  # seeds the estimate's start vector
 _ALPHA0 = 0.5  # first step-ratio adaptation factor
 _DECAY = 0.99  # each adaptation multiplies the factor by this
 _BALANCE = 1.5  # residual ratio beyond which the steps adapt
+_TINY = np.finfo(float).tiny  # floors _rel's denominator
 
 
 def _op_norm(D: Dictionary) -> float:
@@ -298,7 +299,7 @@ def _op_norm(D: Dictionary) -> float:
 def _rel(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
     """||a - b|| over the largest of ||a||, ||b|| and ||scale||."""
     norms = [math.sqrt(float(np.vdot(v, v).real)) for v in (a - b, a, b, scale)]
-    return norms[0] / max(*norms[1:], np.finfo(float).tiny)
+    return norms[0] / max(*norms[1:], _TINY)
 
 
 def _pdhg(n_primal, K, K_adj, norm_k, weights, con, cfg, x0=None, p0=None) -> _Solve:
