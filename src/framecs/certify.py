@@ -23,7 +23,7 @@ import numpy as np
 
 from .frames import Dictionary
 from .linops import BLOCK_BYTES  # sizes Monte Carlo blocks and enumeration chunks
-from .rng import make_rng, rekey
+from .rng import make_rng, split_seed
 from .sensing import SensingOperator
 from .signals import Signal, best_s_term
 
@@ -40,6 +40,9 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 10**6
+# Philox stream of the Monte Carlo draws: not 0 (sensing, pulses, noise),
+# not 0x9090 (power iteration) and above every split_seed stream in use.
+MC_STREAM = 0x4D6F6E7465
 
 
 @dataclass
@@ -92,18 +95,37 @@ class BoundCheck:
     tight_frame: bool
 
 
-def _draw_sparse_atom_combo(
-    D: Dictionary, s: int, rng: np.random.Generator
-) -> np.ndarray:
-    """v = D_T x for a uniform s-subset T and complex Gaussian x; redraws
-    the measure-zero degenerate case v = 0."""
+def _words(s: int) -> int:
+    """Uniforms one trial reads: 3s, rounded up to whole 4-word Philox blocks."""
+    return 4 * -(-3 * s // 4)
+
+
+def _draw_trials(
+    rng: np.random.Generator, count: int, d: int, s: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Supports (count, s) and complex coefficients (count, s) of ``count``
+    consecutive trials, each read from its own row of ``_words(s)``
+    uniforms: Floyd's algorithm on the first s, Box-Muller on the next 2s."""
+    u = rng.random((count, _words(s)))
+    support = np.empty((count, s), dtype=np.intp)
+    for i, j in enumerate(range(d - s, d)):
+        r = (u[:, i] * (j + 1)).astype(np.intp)
+        support[:, i] = np.where((support[:, :i] == r[:, None]).any(axis=1), j, r)
+    radius = np.sqrt(-2.0 * np.log1p(-u[:, s : 2 * s]))
+    return support, radius * np.exp(2j * np.pi * u[:, 2 * s : 3 * s])
+
+
+def _redraw(D: Dictionary, s: int, seed: int, t: int) -> np.ndarray:
+    """v = D_T x for trial t after its draw gave the measure-zero v = 0:
+    draws of one trial from the (split_seed(seed, MC_STREAM), t) stream
+    until v != 0."""
+    rng = make_rng(split_seed(seed, MC_STREAM), t)
     for _ in range(64):
-        support = rng.choice(D.d, size=s, replace=False)
+        support, coef = _draw_trials(rng, 1, D.d, s)
         x = np.zeros(D.d, dtype=complex)
-        x[support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+        x[support[0]] = coef[0]
         v = D.apply(x)
-        norm = float(np.linalg.norm(v))
-        if norm > 0.0:
+        if np.linalg.norm(v) > 0.0:
             return v
     raise ValueError("could not draw a nonzero atom combination")
 
@@ -125,35 +147,41 @@ def drip_monte_carlo(
 
     Each trial draws v = D_T x on a uniform support and records
     r = ||Av||^2/||v||^2; the estimate is max |r - 1| over trials.
-    Trial t uses the (seed, t) substream, so runs are reproducible and
-    order-independent.
 
-    Trials run in blocks of a fixed number of columns, set by
-    ``BLOCK_BYTES`` and the operator sizes; D and A are applied once per
-    block.  Trial t always sits in column t mod width of a full-width
-    block (the last block is zero-padded), so its ratio does not depend
-    on ``trials``.  A trial whose first draw gives v = 0 is redrawn from
-    its substream one vector at a time, as ``_draw_sparse_atom_combo``
-    does.
+    Draws: trial t reads K = 4*ceil(3s/4) uniforms, words [tK, (t+1)K) of
+    the Philox stream (seed, MC_STREAM), so it can be reproduced alone
+    after ``bit_generator.advance(t*K//4)``.  Its first s words give the
+    support by Floyd's algorithm: at step j = d-s, ..., d-1 take
+    r = floor(u*(j+1)), or j if r is already chosen.  The next 2s give
+    the coefficients by Box-Muller, sqrt(-2 ln(1-u1)) exp(2 pi i u2),
+    whose real and imaginary parts are iid N(0, 1).  A trial whose v is 0
+    (measure zero) is redrawn one trial at a time from the
+    (split_seed(seed, MC_STREAM), t) stream.
+
+    Uniforms are read for chunks of trials sized by ``BLOCK_BYTES``.  D
+    and A are applied once per block of a fixed number of columns, set by
+    ``BLOCK_BYTES`` and the operator sizes; trial t sits in column
+    t mod width of a full-width block (the last block is zero-padded), so
+    its ratio does not depend on ``trials``.
     """
     if not (1 <= s <= D.d):
         raise ValueError(f"s must lie in [1, {D.d}]")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     width = max(1, BLOCK_BYTES // (16 * (D.d + D.n + A.m)))
-    rng = make_rng(seed)
+    # a draw peaks at about 32 K bytes a trial (uniforms, supports,
+    # coefficients and their temporaries)
+    chunk = width * max(1, BLOCK_BYTES // (32 * _words(s) * width))
+    rng = make_rng(seed, MC_STREAM)
     worst = 0.0
     ratios: list[float] | None = [] if details else None
     for start in range(0, trials, width):
+        if start % chunk == 0:
+            support, coef = _draw_trials(rng, min(chunk, trials - start), D.d, s)
+        rows = slice(start % chunk, start % chunk + width)
         count = min(width, trials - start)
-        support = np.empty((count, s), dtype=np.intp)
-        coef = np.empty((count, 2 * s))
-        for j in range(count):
-            rekey(rng, seed, start + j)
-            support[j] = rng.choice(D.d, size=s, replace=False)
-            coef[j] = rng.standard_normal(2 * s)  # real parts, then imaginary
         X = np.zeros((D.d, width), dtype=complex)
-        X[support, np.arange(count)[:, None]] = coef[:, :s] + 1j * coef[:, s:]
+        X[support[rows], np.arange(count)[:, None]] = coef[rows]
         V = D.apply(X)
         # Norms over the full-width block: numpy sums a single column in a
         # different order than the columns of a wider array.
@@ -161,7 +189,7 @@ def drip_monte_carlo(
         redraw = np.flatnonzero(v_sq == 0.0)
         if redraw.size:
             for j in redraw:
-                V[:, j] = _draw_sparse_atom_combo(D, s, make_rng(seed, stream=start + j))
+                V[:, j] = _redraw(D, s, seed, start + j)
             v_sq = _sq_norms(V)[:count]
         r = _sq_norms(A.apply(V))[:count] / v_sq
         if ratios is not None:

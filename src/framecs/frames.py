@@ -338,13 +338,15 @@ def from_matrix(M: np.ndarray, tight: bool | None = None) -> Dictionary:
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     n, d = M.shape
-    Mh = M.conj().T
     if tight is None:
         tight = bool(
-            np.linalg.norm(M @ Mh - np.eye(n), "fro") <= 1e-10 * math.sqrt(n)
+            np.linalg.norm(M @ M.conj().T - np.eye(n), "fro") <= 1e-10 * math.sqrt(n)
         )
+    # D* f = conj(M^T conj(f)): BLAS reads M through its transposed view,
+    # so no conjugated copy of the table is kept
     out = Dictionary(
-        n, d, lambda x: M @ x, lambda f: Mh @ f, kind="dense", tight=tight
+        n, d, lambda x: M @ x, lambda f: (M.T @ f.conj()).conj(),
+        kind="dense", tight=tight,
     )
     out._dense_cache = M
     return out

@@ -1,10 +1,11 @@
+import cmath
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from framecs import certify
+from framecs import certify, sensing
 from framecs.certify import (
     concentration_check,
     drip_exact_small,
@@ -152,15 +153,28 @@ class TestDripExact:
 
 
 def per_trial_ratios(A, D, s, trials, seed):
-    """Monte Carlo ratios one trial at a time, each from make_rng(seed, t),
-    redrawing v = 0; also how many trials needed a redraw."""
+    """Monte Carlo ratios one trial at a time under the draw contract:
+    trial t reads K = 4*ceil(3s/4) uniforms after advance(t*K//4) on the
+    (seed, MC_STREAM) stream, takes its support by Floyd's algorithm and
+    its coefficients by Box-Muller, and redraws v = 0 from the
+    (split_seed(seed, MC_STREAM), t) stream; also how many trials needed
+    a redraw."""
+    K = 4 * math.ceil(3 * s / 4)
     ratios, redrawn = [], 0
     for t in range(trials):
-        rng = make_rng(seed, t)
+        rng = make_rng(seed, certify.MC_STREAM)
+        rng.bit_generator.advance(t * K // 4)
         for draw in range(64):
-            support = rng.choice(D.d, size=s, replace=False)
+            if draw == 1:
+                rng = make_rng(split_seed(seed, certify.MC_STREAM), t)
+            u = rng.random(K)
+            support = []
+            for i, j in enumerate(range(D.d - s, D.d)):
+                r = math.floor(u[i] * (j + 1))
+                support.append(j if r in support else r)
             x = np.zeros(D.d, dtype=complex)
-            x[support] = rng.standard_normal(s) + 1j * rng.standard_normal(s)
+            for k, u1, u2 in zip(support, u[s:2 * s], u[2 * s:3 * s]):
+                x[k] = cmath.rect(math.sqrt(-2.0 * math.log1p(-u1)), 2.0 * math.pi * u2)
             v = D.apply(x)
             if np.linalg.norm(v) > 0.0:
                 break
@@ -223,6 +237,34 @@ class TestDripMonteCarloBlocks:
             part = drip_monte_carlo(A, D, s=4, trials=trials, seed=8, details=True)
             assert part.details == full.details[:trials]
 
+    def test_ratios_do_not_depend_on_the_block_budget(self, monkeypatch):
+        # the module's budget, then 4 and 1 trials per block (and per chunk
+        # of draws at the smallest budget)
+        D = build_gabor(64, 8.0, 8, 1 / 32)
+        A = gaussian_sensing(32, 64, seed=1)
+        runs = []
+        for budget in (None, 4 * 16 * (256 + 64 + 32), 1):
+            if budget is not None:
+                monkeypatch.setattr(certify, "BLOCK_BYTES", budget)
+            runs.append(drip_monte_carlo(A, D, s=4, trials=50, seed=2, details=True))
+        for est in runs[1:]:
+            assert np.allclose(est.details, runs[0].details, rtol=1e-12, atol=0.0)
+
+    def test_trial_zero_reads_other_words_than_gaussian_sensing(self, monkeypatch):
+        # the Monte Carlo and the sensing matrix take the same seed in the
+        # certify workload and in `framecs certify drip-mc`
+        keys = {"sensing": [], "certify": []}
+        for module in (sensing, certify):
+            def recording(seed, stream=0, name=module.__name__.split(".")[-1]):
+                rng = make_rng(seed, stream)
+                keys[name].append(tuple(rng.bit_generator.state["state"]["key"]))
+                return rng
+            monkeypatch.setattr(module, "make_rng", recording)
+        A = gaussian_sensing(6, 8, seed=1)
+        drip_monte_carlo(A, pinned_instance()[1], s=2, trials=10, seed=1)
+        assert keys["sensing"] and keys["certify"]
+        assert not set(keys["sensing"]) & set(keys["certify"])
+
     def test_zero_atom_forces_the_redraw_path(self):
         D = degenerate_dictionary()
         A = gaussian_sensing(4, 6, seed=2)
@@ -231,6 +273,32 @@ class TestDripMonteCarloBlocks:
         assert redrawn > 0
         assert np.allclose(est.details, ref, rtol=1e-12, atol=0.0)
         assert est.delta_hat == pytest.approx(np.max(np.abs(ref - 1.0)), rel=1e-12)
+
+
+class TestDripSampler:
+    def test_supports_are_uniform(self):
+        # chi-square over all C(6, 2) = 15 supports; the bound is the upper
+        # 1e-6 quantile of chi^2 with 14 degrees of freedom, where
+        # exp(-x/2) sum_{i<7} (x/2)^i / i! = 1e-6
+        trials = 30_000
+        support, _ = certify._draw_trials(make_rng(17, certify.MC_STREAM), trials, 6, 2)
+        pairs = [tuple(sorted(row)) for row in support.tolist()]
+        cells = list(itertools.combinations(range(6), 2))
+        assert set(pairs) <= set(cells)
+        counts = np.array([pairs.count(c) for c in cells])
+        expected = trials / len(cells)
+        chi2 = float(np.sum((counts - expected) ** 2 / expected))
+        assert chi2 <= 54.635, chi2
+
+    def test_coefficient_moments(self):
+        # z = x + iy with x, y iid N(0, 1): E z = 0 (each part has standard
+        # error 1/sqrt(N)) and E|z|^2 = 2 (|z|^2 is chi^2_2, variance 4)
+        _, coef = certify._draw_trials(make_rng(18, certify.MC_STREAM), 20_000, 64, 4)
+        z = coef.ravel()
+        se = 1.0 / math.sqrt(z.size)
+        assert abs(z.mean().real) <= 5 * se
+        assert abs(z.mean().imag) <= 5 * se
+        assert abs(np.mean(np.abs(z) ** 2) - 2.0) <= 5 * 2.0 * se
 
 
 class TestDripExactChunks:

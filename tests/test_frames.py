@@ -352,6 +352,30 @@ class TestTighten:
         assert D._dense_cache is None
 
 
+class TestFromMatrix:
+    @pytest.mark.parametrize("n, d", [(10, 25), (256, 1024), (64, 200)])
+    def test_adjoint_matches_the_conjugate_transpose_bit_for_bit(self, n, d):
+        rng = make_rng(40, n)
+        M = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+        D = from_matrix(M, tight=False)
+        for shape in [(n,), (n, 3), (n, 1)]:
+            f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            assert np.array_equal(D.adjoint(f), M.conj().T @ f)
+
+    @pytest.mark.parametrize("tight", [None, False])
+    def test_build_keeps_no_copy_of_the_matrix(self, tight):
+        rng = make_rng(41)
+        M = rng.standard_normal((256, 1024)) + 1j * rng.standard_normal((256, 1024))
+        tracemalloc.start()
+        try:
+            D = from_matrix(M, tight=tight)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert D.dense() is M
+        assert retained < 0.05 * M.nbytes, retained / M.nbytes
+
+
 class TestFrameBounds:
     def test_unitary(self):
         A, B = frame_bounds(build_oversampled_dft(8, 1))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from framecs.rng import make_rng, rekey
+from framecs.rng import make_rng
 
 PAIRS = [
     (0, 0),
@@ -12,37 +12,11 @@ PAIRS = [
 ]
 
 
-def _draws(rng, first):
-    # Full-range words first, which show a stale buffered 64-bit word or
-    # cached 32-bit half; a rejection sampler such as choice may skip one.
-    if first == "raw":
-        lead = rng.bit_generator.random_raw(5)
-    else:
-        lead = rng.integers(0, 2**32, size=3, dtype=np.uint32)
-    return [
-        lead,
-        rng.choice(256, size=4, replace=False),
-        rng.standard_normal(8),
-        rng.integers(0, 10, size=3, dtype=np.uint32),  # leaves a cached half
-        rng.random(5),
-    ]
-
-
-@pytest.mark.parametrize("first", ["raw", "uint32"])
 @pytest.mark.parametrize("seed, stream", PAIRS)
-def test_rekey_reproduces_make_rng(seed, stream, first):
-    rng = make_rng(99, 1)
-    _draws(rng, first)  # leave a buffered word and a cached half behind
-    assert rekey(rng, seed, stream) is rng
-    for got, want in zip(_draws(rng, first), _draws(make_rng(seed, stream), first)):
-        assert np.array_equal(got, want)
-
-
-def test_rekey_walks_consecutive_streams():
-    rng = make_rng(0)
-    for t in range(50):
-        rekey(rng, 3, t)
-        got = (rng.random(2), rng.choice(64, size=3, replace=False))
-        fresh = make_rng(3, t)
-        want = (fresh.random(2), fresh.choice(64, size=3, replace=False))
-        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+def test_advance_reproduces_a_bulk_read(seed, stream):
+    # advance(k) skips 4k 64-bit words, one per double drawn by random()
+    bulk = make_rng(seed, stream).random((6, 8))
+    for row in (0, 1, 5):
+        rng = make_rng(seed, stream)
+        rng.bit_generator.advance(row * 8 // 4)
+        assert np.array_equal(rng.random(8), bulk[row])
