@@ -194,7 +194,7 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     and are not marked tight.
 
     Grids with a*b > 1 are undersampled and cannot form a frame; they are
-    rejected.
+    rejected, as are lattices with a | Q | n whose bounds give A <= 1e-12 B.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -233,6 +233,10 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     fast = abs(q - q_int) < 1e-12 and q_int == n_freq
     lattice = fast and q_int % a == 0 and n % q_int == 0
     bounds = _lattice_bounds(g, a, q_int) if lattice else None
+    if bounds is not None and bounds[0] <= 1e-12 * bounds[1]:
+        raise ValueError(
+            "not a frame: lattice bounds (%.3g, %.3g) have A <= 1e-12 B" % bounds
+        )
     if lattice and 8 * n * n_time > _GEMM_TABLE_BYTES:
         apply, adjoint = _zak_maps(g, gnorm, a, q_int)
     elif fast:
@@ -261,7 +265,7 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
             cv = ctab.view(np.float64).reshape(q_int, n_time, -1)
             out = np.matmul(w_qap, cv)  # [tau, alpha, 2 * (col)]
             out = np.ascontiguousarray(out.transpose(1, 0, 2)).view(np.complex128)
-            return out.reshape(n_alpha * q_int, *cols)[:n] / gnorm
+            return out.reshape(n_alpha * q_int, *cols)[:n] * (1 / gnorm)
 
         def adjoint(f: np.ndarray) -> np.ndarray:
             cols = f.shape[1:]
@@ -272,7 +276,7 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
             folded = np.matmul(w_qpa, fv).view(np.complex128)
             folded = folded.reshape(q_int, n_time, *cols)  # [tau, k2, (col)]
             coef = np.fft.fft(folded, axis=0)  # [k1, k2, (col)]
-            return (coef.swapaxes(0, 1) / gnorm).reshape(d, *cols)
+            return (coef.swapaxes(0, 1) * (1 / gnorm)).reshape(d, *cols)
 
     else:
         ramps = np.exp(2j * np.pi * b * np.outer(np.arange(n_freq), t))

@@ -103,6 +103,16 @@ def gabor_window(n: int, sigma: float) -> np.ndarray:
     return np.exp(-(dist**2) / (2.0 * sigma**2))
 
 
+def gabor_frame_operator(n: int, sigma: float, a: int, q: int) -> np.ndarray:
+    """S = D D* of the Gabor frame on the lattice (a, 1/q), q | n, from the
+    Walnut form S[t, u] = (q / ||g||^2) sum_k2 g(t - k2 a) g(u - k2 a) when
+    t = u mod q and 0 otherwise; an n x n real array, no atom is formed."""
+    g = gabor_window(n, sigma)
+    t = np.arange(n)
+    W = g[(t[:, None] - a * np.arange(math.ceil(n / a))) % n]
+    return q / float(np.sum(g**2)) * (W @ W.T) * ((t[:, None] - t) % q == 0)
+
+
 def gabor_atoms(n: int, sigma: float, a: int, b: float, ks) -> np.ndarray:
     """Columns ks of the Gabor synthesis matrix, straight from the atom
     formula g((t - k2 a) mod n) e^{2 pi i k1 b t} / ||g||, with atom

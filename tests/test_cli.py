@@ -158,6 +158,18 @@ class TestRecover:
         assert "oversampling factor c must be >= 1" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_gabor_lattice_that_is_not_a_frame_exits_1(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["recover", "--method", "analysis", "--dict", "gabor",
+             "--gabor-sigma", "1", "--gabor-a", "32", "--gabor-b", "0.015625",
+             "--n", "256", "--m", "32", "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "not a frame" in err
+        assert not (tmp_path / "report.json").exists()
+
 
 class TestExperimentCommand:
     def test_constants_contains_paper_rows(self, tmp_path, capsys):

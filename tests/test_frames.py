@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from framecs.certify import _is_tight
@@ -24,7 +24,7 @@ from framecs.frames import (
 )
 from framecs.linops import LinearOperator, adjoint_mismatch, gram
 from framecs.rng import make_rng
-from oracles import gabor_atoms, gabor_window
+from oracles import gabor_atoms, gabor_frame_operator, gabor_window
 
 
 def random_unit_pair(rng, n):
@@ -116,6 +116,15 @@ class TestGabor:
         with pytest.raises(ValueError, match="undersampled"):
             build_gabor(64, 4.0, 8, 1 / 4)
 
+    @pytest.mark.parametrize(
+        "n, sigma, a, b", [(8192, 16.0, 256, 1 / 2048), (256, 1.0, 32, 1 / 64)]
+    )
+    def test_lattice_that_is_not_a_frame_rejected(self, n, sigma, a, b):
+        # a | Q | n, but the window is too narrow for the time step: the
+        # lattice bounds give A <= 1e-12 B
+        with pytest.raises(ValueError, match="not a frame"):
+            build_gabor(n, sigma, a, b)
+
     def test_fast_path_matches_dense(self):
         rng = make_rng(10)
         for n, sigma, a, b in [(64, 4.0, 4, 1 / 16), (60, 6.0, 4, 1 / 8)]:
@@ -179,7 +188,7 @@ def window_path(D):
 LATTICES = [
     (64, 8.0, 8, 1 / 32),
     (60, 6.0, 4, 1 / 8),  # padded: Q does not divide n
-    (64, math.inf, 8, 1 / 8),
+    (64, math.inf, 8, 1 / 64),  # a flat window is a frame only with Q = n
     (30, 4.0, 3, 0.3),  # 1/b is not an integer: dense ramps
     (33, 2.5, 5, 1 / 6),
     (2048, 16.0, 8, 1 / 64),  # a 4 MiB GEMM table: Zak-domain maps
@@ -470,7 +479,13 @@ class TestZakMaps:
     @settings(max_examples=40, deadline=None)
     def test_zak_maps_equal_the_gemm_maps(self, lattice, sigma):
         n, a, q = lattice
-        D = build_gabor(n, sigma, a, 1 / q)
+        try:
+            D = build_gabor(n, sigma, a, 1 / q)
+        except ValueError as exc:
+            # not a frame, so there are no GEMM maps to compare with;
+            # test_bounds_on_every_dividing_lattice checks the rejection
+            assert "not a frame" in str(exc)
+            reject()
         assert window_path(D) == "gemm"
         g = gabor_window(n, sigma)
         apply, adjoint = _zak_maps(g, math.sqrt(float(np.sum(g**2))), a, q)
@@ -514,7 +529,14 @@ class TestLatticeBounds:
     @settings(max_examples=40, deadline=None)
     def test_bounds_on_every_dividing_lattice(self, lattice, sigma):
         n, a, q = lattice
-        D = build_gabor(n, sigma, a, 1 / q)
+        try:
+            D = build_gabor(n, sigma, a, 1 / q)
+        except ValueError as exc:
+            # rejected: the frame operator is singular to the build's 1e-12
+            assert "not a frame" in str(exc)
+            eig = np.linalg.eigvalsh(gabor_frame_operator(n, sigma, a, q))
+            assert eig[0] <= 2e-12 * eig[-1]
+            return
         branch, (A, B) = D._bounds_cache
         assert branch == "lattice"
         ref_a, ref_b = lattice_reference(D)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -24,6 +25,7 @@ from framecs.sensing import (
     subsampled_dft_sign,
 )
 from framecs.signals import Signal, dirac_comb, metrics
+import framecs.solvers as solvers
 from framecs.solvers import (
     SolverConfig,
     _Constraint,
@@ -539,6 +541,80 @@ class TestStepNorm:
             assert (rep.objective, rep.feasibility, rep.iterations, rep.converged) == (
                 first.objective, first.feasibility, first.iterations, first.converged
             )
+
+
+def schedule_instance():
+    """A 4-sparse Gabor signal at n = 64 from 24 noisy Gaussian measurements."""
+    D = build_gabor(64, 4.0, 4, 1 / 16)
+    A = gaussian_sensing(24, 64, seed=2)
+    rng = make_rng(2)
+    x = np.zeros(D.d, dtype=complex)
+    support = rng.choice(D.d, 4, replace=False)
+    x[support] = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    f = D.apply(x)
+    y, znorm = measure(A, f, 0.05, seed=12)
+    return A, D, f, y, znorm
+
+
+class TestRoundSchedule:
+    """Reweighting rounds before the last stop at _ROUND_TOL * tol_rel; the
+    last round, which the report certifies, runs at tol_rel."""
+
+    CFG = SolverConfig(max_iter=20000, tol_rel=1e-6, over_relaxation=1.8)
+
+    def test_intermediate_rounds_run_at_the_loose_tolerance(self, monkeypatch):
+        seen = []
+
+        def spy(n, K, K_adj, norm_k, weights, con, cfg, **warm_start):
+            seen.append(cfg.tol_rel)
+            return pdhg(n, K, K_adj, norm_k, weights, con, cfg, **warm_start)
+
+        pdhg = solvers._pdhg
+        monkeypatch.setattr(solvers, "_pdhg", spy)
+        A, D, _, y, znorm = schedule_instance()
+        cfg = dataclasses.replace(self.CFG, max_iter=5)
+        reweighted_l1_analysis(A, D, y, znorm, rw_iters=3, cfg=cfg)
+        assert seen == [10 * cfg.tol_rel, 10 * cfg.tol_rel, cfg.tol_rel]
+        seen.clear()
+        l1_analysis(A, D, y, znorm, cfg=cfg)
+        assert seen == [cfg.tol_rel]
+
+    def test_single_round_equals_plain_field_for_field(self):
+        A, D, f, y, znorm = schedule_instance()
+        cfg = dataclasses.replace(self.CFG, history=True)
+        a = l1_analysis(A, D, y, znorm, cfg=cfg, reference=f)
+        b = reweighted_l1_analysis(A, D, y, znorm, rw_iters=1, cfg=cfg, reference=f)
+        assert (a.method, b.method) == ("analysis", "reweighted")
+        assert np.array_equal(a.f_hat.samples, b.f_hat.samples)
+        for field in dataclasses.fields(a):
+            if field.name not in ("method", "f_hat"):
+                assert getattr(a, field.name) == getattr(b, field.name), field.name
+
+    @pytest.fixture(scope="class")
+    def loose_and_tight(self):
+        """(report, D.adjoint columns) of a 3-round solve as scheduled and
+        with every round at tol_rel."""
+        A, D, f, y, znorm = schedule_instance()
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            for factor in (solvers._ROUND_TOL, 1):
+                mp.setattr(solvers, "_ROUND_TOL", factor)
+                C, columns = counting(D, keep_bounds=True)
+                rep = reweighted_l1_analysis(A, C, y, znorm, cfg=self.CFG)
+                runs.append((rep, columns["adjoint"]))
+        return f, runs
+
+    def test_output_stays_within_tolerance_of_the_all_tight_schedule(
+        self, loose_and_tight
+    ):
+        f, [(loose, _), (tight, _)] = loose_and_tight
+        assert loose.converged and tight.converged
+        gap = np.linalg.norm(loose.f_hat.samples - tight.f_hat.samples)
+        assert gap <= 1e-4 * np.linalg.norm(f)
+
+    def test_loose_rounds_save_adjoint_calls(self, loose_and_tight):
+        _, [(_, loose), (_, tight)] = loose_and_tight
+        assert loose <= 0.8 * tight
 
 
 def dense_projection(M, y, eps, z):
