@@ -3,7 +3,11 @@
 An operator is a complex linear map C^in_dim -> C^out_dim defined by a
 matching (apply, adjoint) pair.  Everything downstream (solvers, D-RIP
 estimation, frame analysis) only touches these two methods, so structured
-operators keep their fast paths and dense ones stay trivial.
+operators keep their fast paths and dense ones stay trivial.  Both cast
+their input to complex128, with one exception: an operator that stores a
+float64 matrix (``stores_real``: Gaussian and Bernoulli sensing) maps a
+float64 input to float64, the real part of the complex route, so a real
+problem can run in real arithmetic.
 
 Block contract: ``apply`` takes a length-in_dim vector, shape
 ``(in_dim,)``, or a block of k such vectors as columns, shape
@@ -38,6 +42,7 @@ __all__ = [
     "MATERIALIZATION_CAP",
     "adjoint_mismatch",
     "gram",
+    "matmul",
     "power_iteration",
 ]
 
@@ -82,16 +87,30 @@ class LinearOperator:
         self._dense_cache: np.ndarray | None = None
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=complex)
+        x = self._operand(x)
         if x.shape == (self.in_dim,):
             return self._apply(x)
         return _block_call(self._apply, x, self.in_dim, self.out_dim, "apply")
 
     def adjoint(self, y: np.ndarray) -> np.ndarray:
-        y = np.asarray(y, dtype=complex)
+        y = self._operand(y)
         if y.shape == (self.out_dim,):
             return self._adjoint(y)
         return _block_call(self._adjoint, y, self.out_dim, self.in_dim, "adjoint")
+
+    @property
+    def stores_real(self) -> bool:
+        """Whether the operator stores a float64 matrix, so that apply and
+        adjoint keep float64 operands real."""
+        M = self._dense_cache
+        return M is not None and M.dtype == np.float64
+
+    def _operand(self, x) -> np.ndarray:
+        """x as complex128, or as it is when x is float64 and stores_real."""
+        x = np.asarray(x)
+        if x.dtype == np.float64 and self.stores_real:
+            return x
+        return np.asarray(x, dtype=complex)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -138,6 +157,24 @@ def _block_call(fn, x: np.ndarray, dim: int, out_dim: int, name: str) -> np.ndar
             f"got {np.shape(out)}"
         )
     return out
+
+
+def matmul(M: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """M @ v.  A float64 M times a complex v runs as the two real products
+    M @ Re v and M @ Im v, so BLAS never promotes M to complex; a float64
+    v is one real product.
+
+    A vector's strided parts go straight to matvecs.  numpy multiplies a
+    strided 2-d operand without BLAS, so a block's parts are copied
+    contiguous.
+    """
+    if M.dtype.kind == "c" or v.dtype.kind != "c":
+        return M @ v
+    if v.ndim == 1:
+        re, im = v.real, v.imag
+    else:
+        re, im = np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
+    return (M @ re) + 1j * (M @ im)
 
 
 def gram(op: LinearOperator) -> np.ndarray:

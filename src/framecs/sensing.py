@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linops import LinearOperator
+from .linops import LinearOperator, matmul
 from .rng import make_rng
 
 __all__ = [
@@ -53,30 +53,14 @@ class SensingOperator(LinearOperator):
         )
 
 
-def _parts(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of v as real BLAS operands.
-
-    A vector's strided views go straight to matvecs.  numpy multiplies a
-    strided 2-d operand without BLAS, so a block's parts are copied
-    contiguous.
-    """
-    if v.ndim == 1:
-        return v.real, v.imag
-    return np.ascontiguousarray(v.real), np.ascontiguousarray(v.imag)
-
-
 def _dense_operator(M: np.ndarray, kind: str, seed: int) -> SensingOperator:
     # M is float64 and the only stored table: the adjoint multiplies by the
     # transposed view M.T, which BLAS reads with its transpose flag.
-    # Complex inputs are split so BLAS runs real products instead of
-    # promoting the matrix on every call.
     def apply(v):
-        re, im = _parts(v)
-        return (M @ re) + 1j * (M @ im)
+        return matmul(M, v)
 
     def adjoint(y):
-        re, im = _parts(y)
-        return (M.T @ re) + 1j * (M.T @ im)
+        return matmul(M.T, y)
 
     op = SensingOperator(
         m=M.shape[0],

@@ -16,12 +16,22 @@ Yuan, Esser and Baraniuk 2015).  A solve has converged when both
 residuals and the relative duality gap, taken at the least-squares
 multiplier u = -(M M*)^+ M K* p, are at most tol_rel.
 
-The l1 norm of a complex vector is the sum of moduli throughout, so real
-problems and complex Gabor/DFT problems run through one code path.
+The l1 norm of a complex vector is the sum of moduli throughout, and the
+dual p and K x are complex.  The engine is dtype-generic in the primal:
+when A stores a real matrix and y is real, the analysis programs iterate
+a real x (with its projection's residual and eigen-coordinates) and take
+K* p = Re(D p).  That is exact when D's atoms are closed under complex
+conjugation (Gabor with integer 1/b, the oversampled DFT, real matrices,
+their concatenations and tightenings): the complex program then has a
+real minimizer, and D p is real to roundoff.  Every iteration checks
+that; on the first ||Im D p|| > 1e-10 ||D p|| the whole solve restarts
+in complex arithmetic, so other dictionaries and complex data run the
+complex iteration unchanged.
 """
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple
@@ -29,7 +39,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .frames import Dictionary, frame_bounds
-from .linops import MATERIALIZATION_CAP, LinearOperator, gram, power_iteration
+from .linops import MATERIALIZATION_CAP, LinearOperator, gram, matmul, power_iteration
 from .rng import make_rng
 from .sensing import SensingOperator
 from .signals import Signal
@@ -54,8 +64,9 @@ class SolverConfig:
     max_iter caps each solve (each reweighting round).  converged=True
     means the relative primal and dual residuals and the relative duality
     gap are all <= tol_rel (a reweighted solve's rounds before the last
-    stop at 10 tol_rel), and the returned iterate passes the tol_feas
-    guard ||A fhat - y||_2 <= eps + tol_feas (None: 1e-6 ||y||_2, fixed at
+    stop at 10 tol_rel, and every round must meet its own tolerance), and
+    the returned iterate passes the tol_feas guard
+    ||A fhat - y||_2 <= eps + tol_feas (None: 1e-6 ||y||_2, fixed at
     solve time; the misfit is the one the projection's eigen-coordinates
     give, and the report's feasibility applies A); the projection keeps
     iterates feasible to roundoff, so the guard binds only when roundoff
@@ -169,12 +180,6 @@ def _same(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def _dot(M: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """M @ v; a real M multiplies v's real and imaginary parts, so BLAS runs
-    real products instead of promoting M to complex on every call."""
-    return M @ v if np.iscomplexobj(M) else (M @ v.real) + 1j * (M @ v.imag)
-
-
 class _Constraint:
     """The set {x : ||M x - y||_2 <= eps} and the exact projection onto it.
 
@@ -182,7 +187,8 @@ class _Constraint:
     r = M z - y, projecting z subtracts M* v, v = (M M*)^+ r for eps = 0
     and v = mu (I + mu M M*)^{-1} r once ||r|| > eps > 0.  Newton steps on
     1/||(I + mu M M*)^{-1} r|| - 1/eps, concave and increasing in mu, find
-    the multiplier, warm-started from the previous projection.
+    the multiplier, warm-started from the previous projection.  x, r and
+    the eigen-coordinates are real when M, U and y are.
     """
 
     def __init__(self, op: LinearOperator, y, eps, cfg: SolverConfig):
@@ -209,11 +215,18 @@ class _Constraint:
             )
         self.least_squares = dist >= eps  # no multiplier reaches eps
 
+    def real(self) -> _Constraint:
+        """This constraint for real iterates: y's real part as float64 (y
+        has no imaginary part), the same eigendecomposition."""
+        out = copy.copy(self)
+        out.y = self.y.real.copy()
+        return out
+
     def _to_eig(self, v):
-        return v if self.Uh is None else _dot(self.Uh, v)
+        return v if self.Uh is None else matmul(self.Uh, v)
 
     def _from_eig(self, v):
-        return v if self.U is None else _dot(self.U, v)
+        return v if self.U is None else matmul(self.U, v)
 
     def residual(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.apply(x) - self.y))
@@ -284,6 +297,31 @@ _DECAY = 0.99  # each adaptation multiplies the factor by this
 _BALANCE = 1.5  # residual ratio beyond which the steps adapt
 _ROUND_TOL = 10  # reweighting rounds before the last stop at this * tol_rel
 _TINY = np.finfo(float).tiny  # floors _rel's denominator
+_REAL_TOL = 1e-10  # largest ||Im D p|| / ||D p|| a real primal accepts
+
+
+class _ComplexAdjoint(Exception):
+    """D p left the reals: D's atoms are not closed under conjugation."""
+
+
+def _real_data(A: SensingOperator, y: np.ndarray) -> bool:
+    """Whether l1-analysis iterates a real primal: A stores a float64
+    matrix and y has no imaginary part."""
+    return A.stores_real and not np.any(y.imag)
+
+
+def _real_part(apply: Callable[[np.ndarray], np.ndarray]):
+    """p -> Re(apply(p)), raising _ComplexAdjoint when the imaginary part
+    exceeds _REAL_TOL of the whole."""
+
+    def real_apply(p):
+        v = apply(p)
+        im = v.imag
+        if im @ im > _REAL_TOL**2 * np.vdot(v, v).real:
+            raise _ComplexAdjoint
+        return v.real
+
+    return real_apply
 
 
 def _op_norm(D: Dictionary) -> float:
@@ -304,10 +342,13 @@ def _rel(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
     return norms[0] / max(*norms[1:], _TINY)
 
 
-def _pdhg(n_primal, K, K_adj, norm_k, weights, con, cfg, x0=None, p0=None) -> _Solve:
+def _pdhg(
+    n_primal, K, K_adj, norm_k, weights, con, cfg, x0=None, p0=None, dtype=complex
+) -> _Solve:
     """Relaxed primal-dual iteration for min ||W K x||_1 s.t. x in con.
 
-    The primal prox is con's projection and the dual prox clips |p_i| to
+    x has the given dtype (K_adj and con keep it); p is complex.  The
+    primal prox is con's projection and the dual prox clips |p_i| to
     w_i.  tau sigma ||K||^2 stays 1/1.01^2; tau/sigma starts at
     cfg.step_ratio and adapts toward equal relative residuals.  Each
     iteration applies K, K*, M and M* once.
@@ -315,7 +356,7 @@ def _pdhg(n_primal, K, K_adj, norm_k, weights, con, cfg, x0=None, p0=None) -> _S
     rho, tol = cfg.over_relaxation, cfg.tol_rel
     step = 1.0 / (1.01 * max(norm_k, 1e-150))
     tau, sigma, alpha = step * cfg.step_ratio, step / cfg.step_ratio, _ALPHA0
-    x = np.zeros(n_primal, dtype=complex) if x0 is None else x0.astype(complex)
+    x = np.zeros(n_primal, dtype=dtype) if x0 is None else x0.astype(dtype)
     kx = K(x)
     p = np.zeros_like(kx) if p0 is None else p0.astype(complex)
     kp = K_adj(p)
@@ -448,32 +489,51 @@ def reweight_weights(coeff_mags: np.ndarray, s: int) -> tuple[np.ndarray, float]
 def _analysis(method, A, D, y, eps, cfg, rounds, s, reference, audit_s):
     """`rounds` rounds of min ||W D* f||_1 s.t. ||A f - y||_2 <= eps, as
     reweighted_l1_analysis describes; reports the unweighted ||D* fhat||_1.
-    ||D|| and the projector are built once and serve every round.  Rounds
-    before the last only set weights, so, as NESTA's continuation (Becker,
-    Bobin and Candes 2011), they stop at _ROUND_TOL * tol_rel."""
+    ||D|| and the projector are built once and serve every round.  Real
+    data run a real primal first (module docstring), and every round again
+    in complex arithmetic if D p leaves the reals."""
     cfg = cfg or SolverConfig()
     y = _check_inputs(A, y, eps, D)
     s = s if s is not None else max(1, A.m // 4)
     con = _Constraint(A, y, eps, cfg)
     norm_d = _op_norm(D)
+    res = None
+    if _real_data(A, y):
+        try:
+            res = _rounds(D, norm_d, con.real(), cfg, rounds, s, float)
+        except _ComplexAdjoint:
+            pass
+    if res is None:
+        res = _rounds(D, norm_d, con, cfg, rounds, s, complex)
+    label = "l1_analysis" if method == "analysis" else "reweighted_l1_analysis"
+    return _report(
+        method, A, D, D.d, eps, Signal(res.x, label=label), res, reference, audit_s
+    )
+
+
+def _rounds(D, norm_d, con, cfg, rounds, s, dtype) -> _Solve:
+    """The reweighting rounds with a primal of `dtype`.  Rounds before the
+    last only set weights, so, as NESTA's continuation (Becker, Bobin and
+    Candes 2011), they stop at _ROUND_TOL * tol_rel.  The result is the
+    last round's, converged only when every round met its tolerance."""
+    K_adj = D.apply if dtype is complex else _real_part(D.apply)
     w = np.ones(D.d)
     loose = replace(cfg, tol_rel=_ROUND_TOL * cfg.tol_rel)
-    res = None
+    res, converged = None, True
     for r in range(rounds):
         if r:
             w, _ = reweight_weights(np.abs(res.kx), s)
         res = _pdhg(
-            A.n, D.adjoint, D.apply, norm_d, w, con,
+            D.n, D.adjoint, K_adj, norm_d, w, con,
             cfg if r == rounds - 1 else loose,
             x0=None if res is None else res.x,
             # re-entering with new weights: shrink dual coordinates that now
             # exceed their box so the warm start stays dual-feasible
             p0=None if res is None else _clip_modulus(res.p, w),
+            dtype=dtype,
         )
-    label = "l1_analysis" if method == "analysis" else "reweighted_l1_analysis"
-    return _report(
-        method, A, D, D.d, eps, Signal(res.x, label=label), res, reference, audit_s
-    )
+        converged = converged and res.converged
+    return res._replace(converged=converged)
 
 
 def l1_analysis(
@@ -510,8 +570,9 @@ def reweighted_l1_analysis(
     previous solution's analysis coefficients (see reweight_weights; s
     defaults to m // 4) and warm-starts from the previous primal/dual
     state.  Rounds before the last stop at 10 cfg.tol_rel; the last, whose
-    iterations and convergence the report carries, at cfg.tol_rel.  The
-    objective reported is the unweighted ||D* fhat||_1.
+    iterations the report carries, at cfg.tol_rel.  The report is
+    converged only when every round met its own tolerance.  The objective
+    reported is the unweighted ||D* fhat||_1.
     """
     if rw_iters < 1:
         raise ValueError("rw_iters must be >= 1")

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from framecs.frames import from_matrix
 from framecs.linops import adjoint_mismatch
 from framecs.rng import make_rng
 from framecs.sensing import (
@@ -209,3 +210,29 @@ def test_noise_bound_formula():
     assert noise_bound(100, 0.5) == pytest.approx(
         math.sqrt(100 + 2 * math.sqrt(200)) * 0.5
     )
+
+
+@pytest.mark.parametrize("ctor", [gaussian_sensing, bernoulli_sensing])
+@pytest.mark.parametrize("cols", [(), (3,)])
+def test_real_matrix_maps_float64_to_float64(ctor, cols):
+    # a stored float64 matrix keeps float64 operands real: one real product
+    # with the values of the complex route's real part
+    A = ctor(6, 10, seed=3)
+    assert A.stores_real
+    rng = make_rng(4)
+    for fn, dim in ((A.apply, A.n), (A.adjoint, A.m)):
+        v = rng.standard_normal((dim, *cols))
+        out = fn(v)
+        assert out.dtype == np.float64 and out.shape == (A.m + A.n - dim, *cols)
+        ref = fn(v + 0j)
+        assert ref.dtype == np.complex128 and np.all(ref.imag == 0.0)
+        assert np.max(np.abs(out - ref.real)) <= 1e-15 * np.max(np.abs(ref))
+
+
+def test_other_operators_cast_float64_to_complex():
+    v = make_rng(5).standard_normal(10)
+    A = subsampled_dft_sign(6, 10, seed=3)
+    D = from_matrix(make_rng(6).standard_normal((10, 12)))
+    assert not A.stores_real and not D.stores_real
+    assert A.apply(v).dtype == np.complex128
+    assert D.adjoint(v).dtype == np.complex128

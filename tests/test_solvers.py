@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import framecs.frames as frames
 from framecs.frames import (
     Dictionary,
     build_concat,
@@ -14,6 +15,7 @@ from framecs.frames import (
     build_oversampled_dft,
     frame_bounds,
     from_matrix,
+    tighten,
 )
 from framecs.linops import power_iteration
 from framecs.rng import make_rng, split_seed
@@ -579,6 +581,25 @@ class TestRoundSchedule:
         l1_analysis(A, D, y, znorm, cfg=cfg)
         assert seen == [cfg.tol_rel]
 
+    def test_a_capped_earlier_round_is_reported(self, monkeypatch):
+        # the last round converges, but round 1 stopped at max_iter, so
+        # the solve as a whole did not meet its tolerances
+        seen = []
+
+        def capped(n, K, K_adj, norm_k, weights, con, cfg, **warm_start):
+            if not seen:
+                cfg = dataclasses.replace(cfg, max_iter=3)
+            res = pdhg(n, K, K_adj, norm_k, weights, con, cfg, **warm_start)
+            seen.append(res.converged)
+            return res
+
+        pdhg = solvers._pdhg
+        monkeypatch.setattr(solvers, "_pdhg", capped)
+        A, D, _, y, znorm = schedule_instance()
+        rep = reweighted_l1_analysis(A, D, y, znorm, cfg=self.CFG)
+        assert seen == [False, True, True]
+        assert not rep.converged
+
     def test_single_round_equals_plain_field_for_field(self):
         A, D, f, y, znorm = schedule_instance()
         cfg = dataclasses.replace(self.CFG, history=True)
@@ -729,3 +750,130 @@ def test_converged_objective_is_within_tol_of_the_oracle(case):
     rep = solve(cfg)
     assert rep.converged
     assert abs(rep.objective - optimum) <= cfg.tol_rel * optimum
+
+
+# ---------------------------------------------------------------------------
+# real data in real arithmetic
+
+
+def _gabor_zak(monkeypatch):
+    # a zero table budget sends every a | Q | n lattice to the Zak maps
+    monkeypatch.setattr(frames, "_GEMM_TABLE_BYTES", 0)
+    return build_gabor(32, 4.0, 4, 1 / 8)
+
+
+def _real_matrix(n):
+    # the identity beside first differences: a real frame of 2n atoms
+    diff = np.eye(n) - np.roll(np.eye(n), 1, axis=0)
+    return from_matrix(np.hstack([np.eye(n), diff]))
+
+
+# Dictionaries whose atoms are closed under complex conjugation: D p is
+# real for a conjugate-symmetric p, so the analysis programs run a real x.
+CLOSED = {
+    "gabor-gemm": lambda mp: build_gabor(32, 4.0, 4, 1 / 8),
+    "gabor-zak": _gabor_zak,
+    "gabor-padded": lambda mp: build_gabor(30, 4.0, 4, 1 / 8),
+    "dft": lambda mp: build_oversampled_dft(32, 2),
+    "identity": lambda mp: build_identity(32),
+    "real-matrix": lambda mp: _real_matrix(32),
+    "concat": lambda mp: build_concat(
+        build_identity(32), build_oversampled_dft(32, 1), 1 / math.sqrt(2)
+    ),
+    "tightened": lambda mp: tighten(build_gabor(32, 4.0, 4, 1 / 8)),
+}
+# D p is far from real: b = 0.3 has no integer period, and a complex
+# matrix has no conjugate atoms.
+NOT_CLOSED = {
+    "gabor-b0.3": lambda: build_gabor(32, 4.0, 2, 0.3),
+    "complex-matrix": lambda: from_matrix(
+        make_rng(32).standard_normal((32, 48))
+        + 1j * make_rng(33).standard_normal((32, 48))
+    ),
+}
+REAL_CFG = SolverConfig(max_iter=5000, tol_rel=1e-6, over_relaxation=1.8)
+
+
+def real_instance(n, noisy):
+    """Real Gaussian measurements of a real 3-sparse signal: (A, y, eps)."""
+    A = gaussian_sensing(16, n, seed=21)
+    f = np.zeros(n)
+    f[[3, 11, 20]] = [1.0, -2.0, 0.5]
+    y, znorm = measure(A, f, 0.05 if noisy else 0.0, seed=23)
+    return A, y, znorm
+
+
+def primal_dtypes(monkeypatch):
+    """Records the dtype of every engine run's primal."""
+    seen = []
+
+    def spy(*args, **kw):
+        res = pdhg(*args, **kw)
+        seen.append(res.x.dtype)
+        return res
+
+    pdhg = solvers._pdhg
+    monkeypatch.setattr(solvers, "_pdhg", spy)
+    return seen
+
+
+def both_paths(monkeypatch, solve):
+    """solve() as dispatched and with the real path switched off."""
+    seen = primal_dtypes(monkeypatch)
+    auto = solve()
+    dispatched = list(seen)
+    monkeypatch.setattr(solvers, "_real_data", lambda A, y: False)
+    forced = solve()
+    return auto, forced, dispatched
+
+
+@pytest.mark.parametrize("rounds", [1, 2])
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("kind", sorted(CLOSED))
+def test_closed_dictionaries_run_real_and_match_the_complex_path(
+    kind, noisy, rounds, monkeypatch
+):
+    D = CLOSED[kind](monkeypatch)
+    A, y, eps = real_instance(D.n, noisy)
+    auto, forced, dispatched = both_paths(
+        monkeypatch,
+        lambda: reweighted_l1_analysis(A, D, y, eps, rw_iters=rounds, cfg=REAL_CFG),
+    )
+    assert dispatched == [np.float64] * rounds
+    assert (auto.iterations, auto.converged) == (forced.iterations, forced.converged)
+    assert auto.converged
+    f, g = auto.f_hat.samples, forced.f_hat.samples
+    assert np.all(f.imag == 0.0)
+    assert np.linalg.norm(f - g) <= 1e-12 * np.linalg.norm(g)
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+@pytest.mark.parametrize("kind", sorted(NOT_CLOSED))
+def test_other_dictionaries_restart_complex_bit_for_bit(kind, noisy, monkeypatch):
+    D = NOT_CLOSED[kind]()
+    A, y, eps = real_instance(D.n, noisy)
+    cfg = dataclasses.replace(REAL_CFG, max_iter=300, history=True)
+    auto, forced, dispatched = both_paths(
+        monkeypatch, lambda: reweighted_l1_analysis(A, D, y, eps, rw_iters=2, cfg=cfg)
+    )
+    # the real attempt stops at its first D p and never returns
+    assert dispatched == [np.complex128] * 2
+    assert np.array_equal(auto.f_hat.samples, forced.f_hat.samples)
+    for field in dataclasses.fields(auto):
+        if field.name != "f_hat":
+            assert getattr(auto, field.name) == getattr(forced, field.name), field.name
+
+
+@pytest.mark.parametrize("case", ["complex-y", "subsampled-dft"])
+def test_complex_data_stays_complex(case, monkeypatch):
+    D = build_gabor(32, 4.0, 4, 1 / 8)
+    if case == "complex-y":
+        A, y, eps = real_instance(32, noisy=True)
+        y = y + 0.01j * make_rng(24).standard_normal(y.size)
+    else:
+        A = subsampled_dft_sign(16, 32, seed=21)
+        y, eps = measure(A, make_rng(22).standard_normal(32), 0.05, seed=23)
+    seen = primal_dtypes(monkeypatch)
+    rep = l1_analysis(A, D, y, eps, cfg=REAL_CFG)
+    assert seen == [np.complex128]
+    assert rep.converged
