@@ -1,0 +1,119 @@
+"""Alternating parent/change pairs of the framecs benchmark.
+
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload certify --pairs 10 --seed 1
+
+PARENT and CHANGE are two checkouts of the repository.  Pair k runs
+``python3 perfbench/run.py --workload W --seed S`` once in each, the
+parent first when k is odd and the change first when k is even, so
+neither side always runs on a warmer machine.  Each run's last stdout
+line is its JSON result.  The script then prints one Markdown table row
+per end-to-end metric: each side's median and quartiles, and in how many
+pairs the change read lower.  It exits 1 when any run exits nonzero,
+prints no result, is not ``correct`` or reports a failed operation.
+
+Standard library only; nothing is written outside the two checkouts'
+own ``perfbench/out/``.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+HEADER = (
+    "| workload (pairs) | metric | parent median (q1-q3) "
+    "| change median (q1-q3) | change lower |\n|---|---|---|---|---|"
+)
+
+
+def run_once(checkout: Path, workload: str, seed: int) -> tuple[dict | None, str]:
+    """One benchmark run in ``checkout``: its JSON result (None if it gave
+    none) and what went wrong ('' if nothing did)."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = None
+    if proc.returncode != 0 or result is None:
+        return result, f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}"
+    if not result.get("correct") or result.get("failed", 0):
+        return result, f"correct={result.get('correct')} failed={result.get('failed')}"
+    return result, ""
+
+
+def _quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) == 1:
+        return values[0], values[0], values[0]
+    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def _fmt(values: list[float], unit: str) -> str:
+    q1, med, q3 = _quartiles(values)
+    scale, shown = 1.0, unit
+    if unit == "s" and med < 0.1:
+        scale, shown = 1e3, "ms"
+    suffix = f" {shown}" if shown in ("s", "ms") else ""
+    return f"{med * scale:.2f}{suffix} ({q1 * scale:.2f}-{q3 * scale:.2f})"
+
+
+def table(workload: str, pairs: list[tuple[dict, dict]]) -> str:
+    """Markdown rows, one per metric of the results, for (parent, change)
+    result pairs; 'change lower' counts the pairs where the change's value
+    is strictly below the parent's."""
+    rows = [HEADER]
+    for name, meta in pairs[0][0]["metrics"].items():
+        parent = [p["metrics"][name]["value"] for p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, c in pairs]
+        lower = sum(c < p for p, c in zip(parent, change))
+        rows.append(
+            f"| {workload} ({len(pairs)}) | `{name}` | {_fmt(parent, meta['unit'])} "
+            f"| {_fmt(change, meta['unit'])} | {lower}/{len(pairs)} |"
+        )
+    return "\n".join(rows)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("parent", type=Path)
+    ap.add_argument("change", type=Path)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--pairs", type=int, required=True)
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args(argv)
+    if args.pairs < 1:
+        ap.error("--pairs must be >= 1")
+
+    pairs, bad = [], 0
+    for k in range(1, args.pairs + 1):
+        order = ("parent", "change") if k % 2 else ("change", "parent")
+        got = {}
+        for side in order:
+            result, problem = run_once(getattr(args, side), args.workload, args.seed)
+            if problem:
+                bad += 1
+                sys.stderr.write(f"pair {k} {side}: {problem}\n")
+            else:
+                got[side] = result
+                wall = result["metrics"].get("wall_s", {}).get("value", float("nan"))
+                sys.stderr.write(f"pair {k} {side}: wall_s {wall:.4g}\n")
+        if len(got) == 2:
+            pairs.append((got["parent"], got["change"]))
+    if pairs:
+        print(table(args.workload, pairs))
+    if bad:
+        sys.stderr.write(f"error: {bad} run(s) failed or were not correct\n")
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

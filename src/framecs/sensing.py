@@ -13,7 +13,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .linops import LinearOperator, matmul
+from .linops import BLOCK_BYTES, LinearOperator, matmul
 from .rng import make_rng
 
 __all__ = [
@@ -88,11 +88,18 @@ def bernoulli_sensing(m: int, n: int, seed: int) -> SensingOperator:
     """iid +-1/sqrt(m) entries, equiprobable."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be >= 1")
-    M = make_rng(seed).integers(0, 2, size=(m, n)).astype(float)
-    # (2 M - 1) / sqrt(m) in place, bit for bit: no further m x n temporaries
-    M *= 2.0
-    M -= 1.0
-    M /= math.sqrt(m)
+    bits = make_rng(seed).integers(0, 2, size=(m, n))
+    # int64 and float64 have the same width: the matrix takes over the
+    # draw's buffer, cast and scaled to (2 b - 1) / sqrt(m) in row chunks,
+    # so the build holds one m x n table and chunk-sized temporaries
+    M = bits.view(np.float64)
+    rows = max(1, BLOCK_BYTES // (8 * n))
+    for r in range(0, m, rows):
+        chunk = bits[r : r + rows].astype(np.float64)
+        chunk *= 2.0
+        chunk -= 1.0
+        chunk /= math.sqrt(m)
+        M[r : r + rows] = chunk
     return _dense_operator(M, kind="bernoulli", seed=seed)
 
 

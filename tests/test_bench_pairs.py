@@ -1,0 +1,76 @@
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+bench_pairs = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_pairs)
+
+
+def result(wall, setup, rss, correct=True, failed=0):
+    return {
+        "correct": correct, "attempted": 4, "failed": failed,
+        "metrics": {
+            "setup_s": {"value": setup, "unit": "s"},
+            "wall_s": {"value": wall, "unit": "s"},
+            "peak_rss_mb": {"value": rss, "unit": "MiB"},
+        },
+    }
+
+
+def test_table_of_canned_pairs():
+    pairs = [
+        (result(1.40, 0.0030, 41.7), result(0.60, 0.0031, 42.3)),
+        (result(1.20, 0.0028, 41.7), result(0.70, 0.0027, 42.4)),
+        (result(1.30, 0.0029, 41.8), result(1.30, 0.0025, 42.2)),
+    ]
+    rows = bench_pairs.table("certify", pairs).splitlines()
+    assert rows[:2] == bench_pairs.HEADER.splitlines()
+    assert rows[2:] == [
+        "| certify (3) | `setup_s` | 2.90 ms (2.85-2.95) | 2.70 ms (2.60-2.90) | 2/3 |",
+        "| certify (3) | `wall_s` | 1.30 s (1.25-1.35) | 0.70 s (0.65-1.00) | 2/3 |",
+        "| certify (3) | `peak_rss_mb` | 41.70 (41.70-41.75) | 42.30 (42.25-42.35) | 0/3 |",
+    ]
+
+
+def test_one_pair_has_no_spread():
+    rows = bench_pairs.table("noise", [(result(2.0, 0.5, 40.0), result(1.0, 0.5, 40.0))])
+    assert rows.splitlines()[3] == "| noise (1) | `wall_s` | 2.00 s (2.00-2.00) | 1.00 s (1.00-1.00) | 1/1 |"
+
+
+def fake_checkout(root, name, res, log):
+    """A directory whose perfbench/run.py logs its call and prints ``res``."""
+    bench = root / name / "perfbench"
+    bench.mkdir(parents=True)
+    (bench / "run.py").write_text(
+        "import sys\n"
+        f"open({str(log)!r}, 'a').write({name!r} + ' ' + ' '.join(sys.argv[1:]) + '\\n')\n"
+        f"print('# metrics')\nprint({json.dumps(json.dumps(res))})\n"
+    )
+    return root / name
+
+
+@pytest.mark.parametrize("change, code", [
+    (result(1.0, 0.002, 40.0), 0),
+    (result(1.0, 0.002, 40.0, correct=False, failed=1), 1),
+])
+def test_main_alternates_and_fails_on_a_bad_run(tmp_path, capsys, change, code):
+    log = tmp_path / "calls.log"
+    parent = fake_checkout(tmp_path, "parent", result(2.0, 0.002, 40.0), log)
+    changed = fake_checkout(tmp_path, "change", change, log)
+    assert bench_pairs.main(
+        [str(parent), str(changed), "--workload", "certify", "--pairs", "3", "--seed", "7"]
+    ) == code
+    calls = log.read_text().splitlines()
+    assert [c.split()[0] for c in calls] == [
+        "parent", "change", "change", "parent", "parent", "change"
+    ]
+    assert all(c.split()[1:] == ["--workload", "certify", "--seed", "7"] for c in calls)
+    out = capsys.readouterr().out
+    if code == 0:
+        assert "| certify (3) | `wall_s` | 2.00 s (2.00-2.00) | 1.00 s (1.00-1.00) | 3/3 |" in out
+    else:
+        assert out == ""

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from framecs import certify, sensing
 from framecs.certify import (
@@ -348,6 +350,114 @@ class TestDripExactChunks:
             "C(16,8) = 12870 supports exceed the enumeration cap (1000); "
             "use drip_monte_carlo instead"
         )
+
+
+def concat_instance():
+    """The certify workload's identity + DFT instance at seed 1."""
+    D = build_concat(build_identity(16), build_oversampled_dft(16, 1),
+                     1 / math.sqrt(2))
+    return gaussian_sensing(12, 16, seed=split_seed(1, 1)), D
+
+
+def reference_delta(ref):
+    return max(max(hi - 1.0, 1.0 - lo) for lo, hi in ref)
+
+
+def count_svd_supports(monkeypatch):
+    """Spy on the SVD stage: a list that collects the stack size of each call."""
+    sizes = []
+    inner = certify._subspace_extremes
+
+    def spy(cols, *args):
+        sizes.append(len(cols))
+        return inner(cols, *args)
+
+    monkeypatch.setattr(certify, "_subspace_extremes", spy)
+    return sizes
+
+
+@st.composite
+def screen_instances(draw):
+    """Small from_matrix dictionaries with zero and near-duplicate atoms,
+    a Gaussian A and s <= 3."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 9))
+    s = draw(st.integers(1, min(3, d)))
+    m = draw(st.integers(1, 8))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = make_rng(seed, 1)
+    M = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    M *= draw(st.sampled_from([1e-3, 1.0, 30.0]))
+    for i, j in draw(st.lists(st.tuples(st.integers(0, d - 1), st.integers(0, d - 1)),
+                              max_size=3)):
+        M[:, j] = M[:, i] + 1e-9 * rng.standard_normal(n)
+    for j in draw(st.sets(st.integers(0, d - 1), max_size=3)):
+        M[:, j] = 0.0
+    return gaussian_sensing(m, n, seed=seed), from_matrix(M), s
+
+
+class TestDripExactScreen:
+    """The screened enumeration (details=False) against every support's SVD."""
+
+    @pytest.mark.parametrize("case, s", [
+        ("pinned", 1), ("pinned", 2), ("pinned", 3),
+        ("degenerate", 1), ("degenerate", 2), ("degenerate", 3),
+        ("dft", 2), ("dft", 3), ("gabor", 2),
+    ])
+    def test_matches_per_support_reference(self, case, s):
+        A, D = {
+            "pinned": pinned_instance,
+            "degenerate": lambda: (gaussian_sensing(4, 6, seed=2), degenerate_dictionary()),
+            "dft": lambda: (gaussian_sensing(6, 8, seed=3), build_oversampled_dft(8, 4)),
+            "gabor": lambda: (gaussian_sensing(10, 16, seed=4),
+                              build_gabor(16, 2.0, 2, 1 / 8)),
+        }[case]()
+        est = drip_exact_small(A, D, s)
+        ref = per_support_extremes(A, D, s)
+        assert est.trials == len(ref)
+        assert est.delta_hat == reference_delta(ref)
+        if case == "degenerate" and s == 1:
+            assert est.trials == 7
+
+    @pytest.mark.parametrize("s", [1, 2, 3, 4])
+    def test_certify_workload_instance(self, monkeypatch, s):
+        A, D = concat_instance()
+        ref = per_support_extremes(A, D, s)
+        assert len(ref) == math.comb(32, s)
+        # the module's budget, then 5 supports a chunk
+        for budget in (certify.BLOCK_BYTES, 5 * 16 * s * (2 * 16 + 12)):
+            monkeypatch.setattr(certify, "BLOCK_BYTES", budget)
+            est = drip_exact_small(A, D, s)
+            assert est.trials == len(ref)
+            assert est.delta_hat == reference_delta(ref)
+
+    def test_few_supports_reach_the_svds(self, monkeypatch):
+        A, D = concat_instance()
+        sizes = count_svd_supports(monkeypatch)
+        screened = drip_exact_small(A, D, 3)
+        assert 0 < sum(sizes) < math.comb(32, 3)
+        sizes.clear()
+        full = drip_exact_small(A, D, 3, details=True)
+        assert sum(sizes) == math.comb(32, 3)
+        assert (screened.delta_hat, screened.trials) == (full.delta_hat, full.trials)
+
+    def test_rejected_supports_reach_the_svds(self, monkeypatch):
+        # the 7 pairs with the zero atom 5 and the pair (1, 3) of copies
+        # fail the guard; each still has rank >= 1, so all 28 count
+        A, D = gaussian_sensing(4, 6, seed=2), degenerate_dictionary()
+        sizes = count_svd_supports(monkeypatch)
+        est = drip_exact_small(A, D, 2)
+        assert sum(sizes) >= 8
+        assert est.trials == 28
+
+    @given(screen_instances())
+    @settings(max_examples=60, deadline=None)
+    def test_screen_matches_the_full_enumeration(self, instance):
+        A, D, s = instance
+        screened = drip_exact_small(A, D, s)
+        full = drip_exact_small(A, D, s, details=True)
+        assert screened.delta_hat == full.delta_hat
+        assert screened.trials == full.trials
 
 
 class TestConcentration:

@@ -11,7 +11,7 @@ from framecs.cli import (
     parse_config,
     serialize_config,
 )
-from framecs.certify import drip_exact_small
+from framecs.certify import ENUMERATION_CAP, drip_exact_small
 from framecs.frames import build_concat, build_identity, build_oversampled_dft
 from framecs.io import signal_to_csv
 from framecs.sensing import bernoulli_sensing, subsampled_dft_sign
@@ -355,6 +355,21 @@ class TestCertifyCommand:
         )
         assert code == 2
         assert "drip-mc" in err
+
+    def test_drip_exact_over_the_cap_writes_no_csv(self, capsys):
+        # concat-if at n = 32: d = 64 and C(64, 6) = 74,974,368 supports;
+        # s = 2 fits under the cap, but no row of the CSV may be written
+        code, out, err = run_cli(
+            ["certify", "drip-exact", "--dict", "concat-if", "--n", "32",
+             "--m", "16", "--seed", "3", "--s", "2,6"],
+            capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == (
+            f"C(64,6) exceeds the enumeration cap ({ENUMERATION_CAP}); "
+            "use drip-mc instead\n"
+        )
 
     def test_oversampling_zero_exits_1(self, capsys):
         code, out, err = run_cli(

@@ -85,6 +85,31 @@ class TestBernoulli:
         M = bernoulli_sensing(m, n, seed).dense()
         assert np.array_equal(M, (2.0 * ints - 1.0) / math.sqrt(m))
 
+    @pytest.mark.parametrize("m, n, seed", [(7, 13, 3), (50, 4096, 5), (1, 1, 0)])
+    def test_matches_the_float_cast_of_the_draw(self, m, n, seed):
+        # at n = 4096 the cast runs in 8-row chunks, the last one partial
+        old = make_rng(seed).integers(0, 2, size=(m, n)).astype(float)
+        old *= 2.0
+        old -= 1.0
+        old /= math.sqrt(m)
+        M = bernoulli_sensing(m, n, seed).dense()
+        assert M.dtype == np.float64 and M.flags.c_contiguous
+        assert np.array_equal(M, old)
+
+    def test_matrix_is_stored_once_as_float64(self):
+        m, n = 400, 8192
+        table = 8 * m * n  # bytes of one float64 m x n matrix
+        tracemalloc.start()
+        try:
+            A = bernoulli_sensing(m, n, seed=5)
+            retained, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the int64 draw's buffer becomes the matrix, cast in row chunks
+        assert retained <= 1.1 * table, retained / table
+        assert peak <= 1.1 * table, peak / table
+        assert A.dense().shape == (m, n)
+
     def test_entry_magnitudes_exact(self):
         m = 9
         A = bernoulli_sensing(m, 17, seed=5).dense().real
