@@ -38,6 +38,7 @@ __all__ = [
     "BoundCheck",
     "drip_monte_carlo",
     "drip_exact_small",
+    "EnumerationCapError",
     "concentration_check",
     "theorem_constants",
     "theorem_constants_from_delta",
@@ -45,6 +46,12 @@ __all__ = [
 ]
 
 ENUMERATION_CAP = 10**6
+
+
+class EnumerationCapError(ValueError):
+    """drip_exact_small was asked for more supports than its cap allows."""
+
+
 # Screen of the exact enumeration: a support enters it when its Gram P
 # has det P > SCREEN_GUARD (tr P)^s, so lambda_min/lambda_max(P) >
 # SCREEN_GUARD; its estimate then differs from the SVD value by a few
@@ -308,7 +315,7 @@ def drip_exact_small(
         raise ValueError(f"s must lie in [1, {D.d}]")
     count = math.comb(D.d, s)
     if count > cap:
-        raise ValueError(
+        raise EnumerationCapError(
             f"C({D.d},{s}) = {count} supports exceed the enumeration cap "
             f"({cap}); use drip_monte_carlo instead"
         )

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import io as fio
 from .certify import (
-    ENUMERATION_CAP,
+    EnumerationCapError,
     concentration_check,
     drip_exact_small,
     drip_monte_carlo,
@@ -620,13 +620,11 @@ def cmd_certify(args) -> int:
     rows = []
     for s in s_list:
         if args.what == "drip-exact":
-            if math.comb(D.d, s) > ENUMERATION_CAP:
-                sys.stderr.write(
-                    f"C({D.d},{s}) exceeds the enumeration cap "
-                    f"({ENUMERATION_CAP}); use drip-mc instead\n"
-                )
+            try:
+                est = drip_exact_small(A, D, s)
+            except EnumerationCapError as exc:
+                sys.stderr.write(f"framecs: error: {exc}\n")
                 return EXIT_NUMERIC
-            est = drip_exact_small(A, D, s)
         else:
             est = drip_monte_carlo(A, D, s, args.trials, args.seed)
         rows.append((s, est.delta_hat, est.method, est.trials))
@@ -650,7 +648,9 @@ def _add_dict_flags(p):
     p.add_argument("--oversampling", type=int, default=None)
     p.add_argument("--gabor-sigma", dest="gabor_sigma", type=float, default=8.0)
     p.add_argument("--gabor-a", dest="gabor_a", type=int, default=8)
-    p.add_argument("--gabor-b", dest="gabor_b", type=float, default=1.0 / 32.0)
+    p.add_argument("--gabor-b", dest="gabor_b", type=float, default=1.0 / 32.0,
+                   help="frequency step b: 1/b must be an integer Q with "
+                   "a | Q | n (a = --gabor-a)")
 
 
 def build_parser() -> _Parser:

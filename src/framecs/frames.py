@@ -3,11 +3,15 @@
 A dictionary D maps coefficient vectors in C^d to signals in C^n
 (synthesis); its adjoint D* computes analysis coefficients.  Structured
 constructors (oversampled DFT, Gabor) get FFT fast paths; everything can
-fall back to a dense matrix below the materialization cap.  A Gabor frame
-with integer Q = 1/b runs its window as a batched GEMM against a stored
-window table while that table fits in cache; on a lattice with a | Q | n
-whose table would not, D and D* run in the Zak domain instead, as one
-length-n/Q FFT convolution per (tau, rho) from a table of n*Q/a values.
+fall back to a dense matrix below the materialization cap.
+
+A Gabor frame lives on a dividing lattice: Q = 1/b is an integer with
+a | Q | n.  Only such lattices have exact frame bounds, an exact ||D|| and
+Zak-domain maps (Zibulski and Zeevi 1997; Soendergaard, "Finite discrete
+Gabor analysis", 2007).  Its D and D* run a batched GEMM against a stored
+window table while that table fits in cache, and otherwise one length-n/Q
+FFT convolution per (tau, rho) in the Zak domain from a table of n*Q/a
+values.
 
 All arithmetic is complex double precision.  Real signals ride along with
 zero imaginary part.
@@ -91,13 +95,6 @@ def build_oversampled_dft(n: int, c: int = 1) -> Dictionary:
     return Dictionary(n, d, apply, adjoint, kind="oversampled_dft", tight=True)
 
 
-def _gabor_grid(n: int, a: int, b: float) -> tuple[int, int]:
-    """Number of time shifts (k2*a in [0,n)) and frequencies (k1*b in [0,1))."""
-    n_time = int(math.ceil(n / a))
-    n_freq = int(math.ceil(1.0 / b - 1e-12))
-    return n_time, n_freq
-
-
 def _lattice_bounds(g: np.ndarray, a: int, q: int) -> tuple[float, float]:
     """Extreme eigenvalues of S = D D* for the Gabor frame of window g on
     the lattice (a, 1/q), when a | q | n.
@@ -114,11 +111,10 @@ def _lattice_bounds(g: np.ndarray, a: int, q: int) -> tuple[float, float]:
     return float(lam.min()), float(lam.max())
 
 
-# A dividing lattice (a | Q | n) whose GEMM window table, 8*n*ceil(n/a)
-# bytes, exceeds this runs D and D* in the Zak domain.  The GEMM is the
-# direct convolution and wins while its table is small against the 2 MiB
-# per-core L2 of the 2-core benchmark VM.  One D + D* pair there, min/median
-# of 31 runs in microseconds, GEMM -> Zak:
+# A Gabor frame whose GEMM window table, 8*n*(n/a) bytes, exceeds this runs
+# D and D* in the Zak domain.  The GEMM is the direct convolution and wins
+# while its table is small against the 2 MiB per-core L2 of a 2-core VM.
+# One D + D* pair there, min/median of 31 runs in microseconds, GEMM -> Zak:
 #   n = 256,  Q = 32 (64 KiB table)        76/80 ->   126/136
 #   n = 1024, Q = 64 (1 MiB table)        390/419 ->   307/326
 #   n = 2048, Q = 64 (4 MiB table)      2,637/2,754 ->   581/616
@@ -170,31 +166,24 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     """Gabor frame with a circularly wrapped Gaussian window.
 
     Atoms are g((t - k2*a) mod n) * exp(2*pi*i*k1*b*t), ell2-normalized,
-    indexed on the grid k2*a in [0,n), k1*b in [0,1).  The window is
+    indexed k = k2*Q + k1 for k2 < n/a and k1 < Q = 1/b.  The window is
     g(t) = exp(-t^2 / (2*sigma^2)) evaluated at the signed circular
     distance; sigma = inf gives a flat window.
 
-    D and D* take one of three paths:
+    The lattice must divide (Q an integer with a | Q | n; see the module
+    docstring).  D and D* run a length-Q FFT plus a batched GEMM against
+    one window table of 8*n*(n/a) bytes, which D* reads through a
+    transposed view; this direct convolution is fastest while the table
+    fits in cache.  Above ``_GEMM_TABLE_BYTES`` (2 MiB) they run the
+    Zak-domain maps of _zak_maps instead.
 
-    - a | Q | n (Q = 1/b) and a GEMM window table of 8*n*ceil(n/a) bytes
-      would exceed ``_GEMM_TABLE_BYTES`` (2 MiB): the Zak-domain maps of
-      _zak_maps, FFTs of sizes n/Q and Q around a pointwise product with
-      one n*Q/a complex table;
-    - any other integer Q: one length-Q FFT plus a batched GEMM against
-      one such window table, which D* reads through a transposed view;
-      this is the direct convolution, fastest while the table fits in
-      cache;
-    - any other b: dense phase ramps and windows.
-
-    On a lattice with a | Q | n, the build also computes the exact frame
-    bounds from one length-n/a FFT per residue r < a (see _lattice_bounds)
+    The build also computes the exact frame bounds (see _lattice_bounds)
     and stores them as a "lattice" entry in ``_bounds_cache``, which
     frame_bounds returns and from which the solvers take ||D|| = sqrt(B);
-    ``tight`` is set when B - A <= 1e-12 B.  Other lattices carry no entry
-    and are not marked tight.
+    ``tight`` is set when B - A <= 1e-12 B.
 
-    Grids with a*b > 1 are undersampled and cannot form a frame; they are
-    rejected, as are lattices with a | Q | n whose bounds give A <= 1e-12 B.
+    Rejected: undersampled grids (a*b > 1), lattices that do not divide,
+    and lattices whose bounds give A <= 1e-12 B (not a frame).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -208,8 +197,14 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
         )
     n = int(n)
     a = int(a)
-    n_time, n_freq = _gabor_grid(n, a, b)
-    d = n_time * n_freq
+    q = round(min(1.0 / b, n))  # Q <= n on a dividing lattice; keeps round finite
+    if abs(1.0 / b - q) >= 1e-12 or q % a or n % q:
+        raise ValueError(
+            f"Gabor lattice does not divide: 1/b must be an integer Q with "
+            f"a | Q | n; got n = {n}, a = {a}, 1/b = {1.0 / b:.12g}"
+        )
+    n_time = n // a
+    d = n_time * q
 
     # The window g at the signed circular distance of t from 0, wrapped to
     # (-n/2, n/2]; atom k2 carries it shifted, g((t - k2*a) mod n).  The
@@ -220,86 +215,56 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
         g = np.ones(n)
     else:
         g = np.exp(-(dist**2) / (2.0 * window_sigma**2))
-    shifts = a * np.arange(n_time)
     gnorm = math.sqrt(float(np.sum(g**2)))
     if gnorm == 0.0:
         raise ValueError("window vanished; sigma too small for this n")
 
-    # Phase ramps exp(2*pi*i*k1*b*t) for all k1 at once (n_freq x n).  When
-    # b = 1/Q with integer Q the ramp is t-periodic mod Q, which is what the
-    # FFT fast path below exploits; for general b we keep the dense ramps.
-    q = 1.0 / b
-    q_int = int(round(q))
-    fast = abs(q - q_int) < 1e-12 and q_int == n_freq
-    lattice = fast and q_int % a == 0 and n % q_int == 0
-    bounds = _lattice_bounds(g, a, q_int) if lattice else None
-    if bounds is not None and bounds[0] <= 1e-12 * bounds[1]:
+    bounds = _lattice_bounds(g, a, q)
+    if bounds[0] <= 1e-12 * bounds[1]:
         raise ValueError(
             "not a frame: lattice bounds (%.3g, %.3g) have A <= 1e-12 B" % bounds
         )
-    if lattice and 8 * n * n_time > _GEMM_TABLE_BYTES:
-        apply, adjoint = _zak_maps(g, gnorm, a, q_int)
-    elif fast:
-        # Phases repeat with period Q = 1/b, so time splits as t = alpha*Q + tau
+    if 8 * n * n_time > _GEMM_TABLE_BYTES:
+        apply, adjoint = _zak_maps(g, gnorm, a, q)
+    else:
+        # Phases repeat with period Q, so time splits as t = alpha*Q + tau
         # and both directions become one small FFT plus a batched window
         # contraction.  Complex vectors ride through the real GEMMs as
         # interleaved (re, im) float pairs.
-        # w_qap[tau, alpha, k2] = g((alpha*Q + tau - k2*a) mod n), zero for
-        # the pad rows alpha*Q + tau >= n; gathered one tau slice at a time.
-        pad = (-n) % q_int
-        n_alpha = (n + pad) // q_int
-        w_qap = np.zeros((q_int, n_alpha, n_time))
-        for tau in range(q_int):
-            rows = np.arange(tau, n, q_int)
-            w_qap[tau, : rows.size] = g[(rows[:, None] - shifts) % n]
+        # w_qap[tau, alpha, k2] = g((alpha*Q + tau - k2*a) mod n), gathered
+        # one tau slice at a time.
+        n_alpha = n // q
+        shifts = a * np.arange(n_time)
+        w_qap = np.empty((q, n_alpha, n_time))
+        for tau in range(q):
+            w_qap[tau] = g[(np.arange(tau, n, q)[:, None] - shifts) % n]
         w_qpa = w_qap.transpose(0, 2, 1)  # [tau, k2, alpha], a view: no copy
 
         # A block's k columns ride along as a trailing axis (``cols``, empty
         # for a vector), so they widen the GEMMs instead of repeating them.
         def apply(x: np.ndarray) -> np.ndarray:
             cols = x.shape[1:]
-            coef = x.reshape(n_time, n_freq, *cols).swapaxes(0, 1)
+            coef = x.reshape(n_time, q, *cols).swapaxes(0, 1)
             coef = np.ascontiguousarray(coef)  # [k1, k2, (col)]
             # ctab[tau, k2] = sum_k1 coef[k1, k2] e^{2 pi i k1 tau / Q}
-            ctab = np.fft.ifft(coef, axis=0) * q_int
-            cv = ctab.view(np.float64).reshape(q_int, n_time, -1)
+            ctab = np.fft.ifft(coef, axis=0) * q
+            cv = ctab.view(np.float64).reshape(q, n_time, -1)
             out = np.matmul(w_qap, cv)  # [tau, alpha, 2 * (col)]
             out = np.ascontiguousarray(out.transpose(1, 0, 2)).view(np.complex128)
-            return out.reshape(n_alpha * q_int, *cols)[:n] * (1 / gnorm)
+            return out.reshape(n, *cols) * (1 / gnorm)
 
         def adjoint(f: np.ndarray) -> np.ndarray:
             cols = f.shape[1:]
-            if pad:
-                f = np.concatenate([f, np.zeros((pad, *cols), dtype=complex)])
-            fv = np.ascontiguousarray(f.reshape(n_alpha, q_int, *cols).swapaxes(0, 1))
-            fv = fv.view(np.float64).reshape(q_int, n_alpha, -1)
+            fv = np.ascontiguousarray(f.reshape(n_alpha, q, *cols).swapaxes(0, 1))
+            fv = fv.view(np.float64).reshape(q, n_alpha, -1)
             folded = np.matmul(w_qpa, fv).view(np.complex128)
-            folded = folded.reshape(q_int, n_time, *cols)  # [tau, k2, (col)]
+            folded = folded.reshape(q, n_time, *cols)  # [tau, k2, (col)]
             coef = np.fft.fft(folded, axis=0)  # [k1, k2, (col)]
             return (coef.swapaxes(0, 1) * (1 / gnorm)).reshape(d, *cols)
 
-    else:
-        ramps = np.exp(2j * np.pi * b * np.outer(np.arange(n_freq), t))
-        windows = np.empty((n, n_time))  # col k2 holds g((t - k2*a) mod n)
-        for k2, shift in enumerate(shifts):
-            windows[:, k2] = np.roll(g, shift)
-
-        # x.T puts a block's columns first (and leaves a vector alone), so
-        # the matmuls below run once per column as a stack.
-        def apply(x: np.ndarray) -> np.ndarray:
-            coef = x.T.reshape(*x.shape[1:], n_time, n_freq)  # [(col), k2, k1]
-            mod = coef @ ramps  # [(col), k2, t]
-            return np.einsum("tp,...pt->t...", windows, mod) / gnorm
-
-        def adjoint(f: np.ndarray) -> np.ndarray:
-            u = windows * f.T[..., :, None]  # [(col), t, k2]
-            coef = ramps.conj() @ u  # [(col), k1, k2]
-            return (coef.T / gnorm).reshape(d, *f.shape[1:])
-
-    tight = bounds is not None and bounds[1] - bounds[0] <= 1e-12 * bounds[1]
+    tight = bounds[1] - bounds[0] <= 1e-12 * bounds[1]
     out = Dictionary(n, d, apply, adjoint, kind="gabor", tight=tight)
-    if bounds is not None:
-        out._bounds_cache = ("lattice", bounds)
+    out._bounds_cache = ("lattice", bounds)
     return out
 
 

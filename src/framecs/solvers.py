@@ -21,7 +21,7 @@ dual p and K x are complex.  The engine is dtype-generic in the primal:
 when A stores a real matrix and y is real, the analysis programs iterate
 a real x (with its projection's residual and eigen-coordinates) and take
 K* p = Re(D p).  That is exact when D's atoms are closed under complex
-conjugation (Gabor with integer 1/b, the oversampled DFT, real matrices,
+conjugation (every Gabor frame, the oversampled DFT, real matrices,
 their concatenations and tightenings): the complex program then has a
 real minimizer, and D p is real to roundoff.  Every iteration checks
 that; on the first ||Im D p|| > 1e-10 ||D p|| the whole solve restarts

@@ -39,8 +39,7 @@ def _zak_gabor(n, sigma, a, q):
 OPERATORS = {
     "gabor-fast": lambda: build_gabor(64, 8.0, 8, 1 / 32),
     "gabor-zak": lambda: _zak_gabor(64, 8.0, 8, 32),
-    "gabor-padded": lambda: build_gabor(60, 6.0, 4, 1 / 8),
-    "gabor-ramp": lambda: build_gabor(30, 4.0, 3, 0.3),  # 1/b is not an integer
+    "gabor-odd": lambda: build_gabor(96, 5.0, 3, 1 / 12),  # odd a
     "dft": lambda: build_oversampled_dft(16, 3),
     "concat": lambda: build_concat(
         build_identity(16), build_oversampled_dft(16, 1), 1 / math.sqrt(2)

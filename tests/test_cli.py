@@ -6,6 +6,7 @@ import pytest
 
 from framecs.cli import (
     ExperimentConfig,
+    build_dictionary,
     default_config,
     main,
     parse_config,
@@ -168,6 +169,20 @@ class TestRecover:
         assert code == 1
         assert out == ""
         assert "not a frame" in err
+        assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("a, b, n", [("2", "0.3", "64"), ("3", "0.125", "64")])
+    def test_gabor_lattice_that_does_not_divide_exits_1(self, a, b, n, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["recover", "--method", "analysis", "--dict", "gabor",
+             "--gabor-a", a, "--gabor-b", b, "--n", n, "--m", "32",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "does not divide" in err
+        assert f"n = {n}, a = {a}, 1/b = " in err
         assert not (tmp_path / "report.json").exists()
 
 
@@ -354,7 +369,7 @@ class TestCertifyCommand:
             capsys,
         )
         assert code == 2
-        assert "drip-mc" in err
+        assert "use drip_monte_carlo instead" in err
 
     def test_drip_exact_over_the_cap_writes_no_csv(self, capsys):
         # concat-if at n = 32: d = 64 and C(64, 6) = 74,974,368 supports;
@@ -367,8 +382,8 @@ class TestCertifyCommand:
         assert code == 2
         assert out == ""
         assert err == (
-            f"C(64,6) exceeds the enumeration cap ({ENUMERATION_CAP}); "
-            "use drip-mc instead\n"
+            f"framecs: error: C(64,6) = 74974368 supports exceed the enumeration "
+            f"cap ({ENUMERATION_CAP}); use drip_monte_carlo instead\n"
         )
 
     def test_oversampling_zero_exits_1(self, capsys):
@@ -419,3 +434,5 @@ class TestConfigRoundTrip:
             assert isinstance(cfg, ExperimentConfig)
             back = parse_config(serialize_config(cfg))
             assert back == cfg
+            # no shipped config may name a lattice build_gabor rejects
+            build_dictionary(cfg.dict_kind, cfg.n, cfg)

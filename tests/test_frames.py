@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 from framecs.certify import _is_tight
@@ -116,6 +116,18 @@ class TestGabor:
         with pytest.raises(ValueError, match="undersampled"):
             build_gabor(64, 4.0, 8, 1 / 4)
 
+    @pytest.mark.parametrize("n, sigma, a, b", [
+        (60, 6.0, 4, 1 / 8),  # Q does not divide n
+        (48, 4.0, 3, 1 / 8),  # a does not divide Q
+        (40, 4.0, 4, 3 / 20),  # 1/b = 20/3 is not an integer
+        (2000, 16.0, 8, 1 / 64),  # Q does not divide n, above the GEMM table limit
+        (1536, 8.0, 3, 1 / 64),  # a does not divide Q, above the GEMM table limit
+    ])
+    def test_other_lattices_are_rejected(self, n, sigma, a, b):
+        with pytest.raises(ValueError, match="does not divide") as exc:
+            build_gabor(n, sigma, a, b)
+        assert f"n = {n}, a = {a}, 1/b = {1 / b:.12g}" in str(exc.value)
+
     @pytest.mark.parametrize(
         "n, sigma, a, b", [(8192, 16.0, 256, 1 / 2048), (256, 1.0, 32, 1 / 64)]
     )
@@ -127,7 +139,7 @@ class TestGabor:
 
     def test_fast_path_matches_dense(self):
         rng = make_rng(10)
-        for n, sigma, a, b in [(64, 4.0, 4, 1 / 16), (60, 6.0, 4, 1 / 8)]:
+        for n, sigma, a, b in [(64, 4.0, 4, 1 / 16), (96, 5.0, 3, 1 / 12)]:
             D = build_gabor(n, sigma, a, b)
             M = D.dense()
             x = rng.standard_normal(D.d) + 1j * rng.standard_normal(D.d)
@@ -137,10 +149,9 @@ class TestGabor:
 
 
 def offset_grid_tables(n, sigma, a, b):
-    """Gabor window tables built the old way, from the full n x n_time
-    offset grid: ({name: table}, gnorm), the fast path's w_qap when 1/b is
-    an integer, else the dense path's windows."""
-    n_time = math.ceil(n / a)
+    """The GEMM window table w_qap built the old way, from the full
+    n x n_time offset grid: (w_qap, gnorm)."""
+    n_time = n // a
     t = np.arange(n)
     offsets = (t[:, None] - a * np.arange(n_time)[None, :]) % n
     offsets = np.where(offsets > n / 2, offsets - n, offsets).astype(float)
@@ -149,13 +160,8 @@ def offset_grid_tables(n, sigma, a, b):
     else:
         windows = np.exp(-(offsets**2) / (2.0 * sigma**2))
     gnorm = math.sqrt(float(np.sum(windows[:, 0] ** 2)))
-    q = round(1 / b)
-    if abs(1 / b - q) >= 1e-12:
-        return {"windows": windows}, gnorm
-    pad = (-n) % q
-    w3 = np.vstack([windows, np.zeros((pad, n_time))]) if pad else windows
-    w3 = w3.reshape(-1, q, n_time)
-    return {"w_qap": np.ascontiguousarray(w3.transpose(1, 0, 2))}, gnorm
+    w3 = windows.reshape(-1, round(1 / b), n_time)
+    return np.ascontiguousarray(w3.transpose(1, 0, 2)), gnorm
 
 
 def zak_table_by_its_sum(n, sigma, a, q):
@@ -180,17 +186,16 @@ def closure_vars(D):
 
 
 def window_path(D):
-    """Which Gabor path D's maps run: "zak", "gemm" or "ramps"."""
-    held = closure_vars(D)
-    return "zak" if "H" in held else "gemm" if "w_qap" in held else "ramps"
+    """Which Gabor path D's maps run: "zak" or "gemm"."""
+    return "zak" if "H" in closure_vars(D) else "gemm"
 
 
 LATTICES = [
     (64, 8.0, 8, 1 / 32),
-    (60, 6.0, 4, 1 / 8),  # padded: Q does not divide n
+    (96, 5.0, 3, 1 / 12),  # odd a
     (64, math.inf, 8, 1 / 64),  # a flat window is a frame only with Q = n
-    (30, 4.0, 3, 0.3),  # 1/b is not an integer: dense ramps
-    (33, 2.5, 5, 1 / 6),
+    (45, 3.0, 3, 1 / 9),  # odd a, Q and n
+    (60, 4.0, 5, 1 / 15),  # odd a and Q
     (2048, 16.0, 8, 1 / 64),  # a 4 MiB GEMM table: Zak-domain maps
 ]
 
@@ -206,9 +211,9 @@ BENCHMARK_LATTICES = [
 class TestGaborWindowTables:
     @pytest.mark.parametrize("n, sigma, a, b", LATTICES)
     def test_tables_match_the_offset_grid_bit_for_bit(self, n, sigma, a, b):
-        """GEMM and ramp tables equal the offset grid's bit for bit, and
-        the GEMM adjoint reads w_qap itself; a Zak-side table equals its
-        defining sum."""
+        """A GEMM table equals the offset grid's bit for bit, and the GEMM
+        adjoint reads w_qap itself; a Zak-side table equals its defining
+        sum."""
         D = build_gabor(n, sigma, a, b)
         held = closure_vars(D)
         if window_path(D) == "zak":
@@ -219,11 +224,9 @@ class TestGaborWindowTables:
             return
         ref, gnorm = offset_grid_tables(n, sigma, a, b)
         assert held["gnorm"] == gnorm
-        for name, table in ref.items():
-            assert held[name].flags.c_contiguous
-            assert np.array_equal(held[name], table), name
-        if window_path(D) == "gemm":
-            assert np.shares_memory(held["w_qpa"], held["w_qap"])
+        assert held["w_qap"].flags.c_contiguous
+        assert np.array_equal(held["w_qap"], ref)
+        assert np.shares_memory(held["w_qpa"], held["w_qap"])
 
     def test_build_peak_is_one_table(self):
         # the largest benchmark lattice on the GEMM side
@@ -254,14 +257,6 @@ class TestGaborWindowTables:
         n, _, a, _ = lattice
         assert (8 * n * math.ceil(n / a) > _GEMM_TABLE_BYTES) == (path == "zak")
         assert window_path(build_gabor(*lattice)) == path
-
-    @pytest.mark.parametrize("n, sigma, a, b", [
-        (2000, 16.0, 8, 1 / 64),  # Q does not divide n, 4 MB table
-        (1536, 8.0, 3, 1 / 64),  # a does not divide Q, 6 MiB table
-    ])
-    def test_other_lattices_keep_the_gemm_path_at_any_size(self, n, sigma, a, b):
-        assert 8 * n * math.ceil(n / a) > _GEMM_TABLE_BYTES
-        assert window_path(build_gabor(n, sigma, a, b)) == "gemm"
 
 
 def sampled_atoms(D, n, sigma, a, b, count):
@@ -415,7 +410,7 @@ class TestFrameBounds:
         assert B == pytest.approx(eig[-1], rel=1e-3)
 
     @pytest.mark.parametrize(
-        "n, sigma, a, b", [(64, 4.0, 4, 1 / 16), (60, 6.0, 4, 1 / 8)]
+        "n, sigma, a, b", [(64, 4.0, 4, 1 / 16), (96, 5.0, 3, 1 / 12)]
     )
     def test_unmaterialized_frame_takes_n_operator_pairs(self, n, sigma, a, b):
         M = build_gabor(n, sigma, a, b).dense()
@@ -472,6 +467,29 @@ def dividing_lattices(draw):
     a = draw(st.integers(1, 8))
     q = a * draw(st.integers(1, 8))
     return q * draw(st.integers(1, 256 // q)), a, q
+
+
+@st.composite
+def non_dividing_lattices(draw):
+    """(n, a, b) with a*b <= 1 and n <= 256 that do not divide: 1/b is an
+    integer Q with a not dividing Q or Q not dividing n, or 1/b is not an
+    integer."""
+    n, a = draw(st.integers(1, 256)), draw(st.integers(1, 8))
+    if draw(st.booleans()):
+        q = draw(st.integers(a, 64))
+        assume(q % a or n % q)
+        return n, a, 1 / q
+    b = draw(st.floats(1 / 64, 1 / a))
+    assume(abs(1 / b - round(1 / b)) >= 1e-12)
+    return n, a, b
+
+
+@given(non_dividing_lattices())
+@settings(max_examples=60, deadline=None)
+def test_lattices_that_do_not_divide_are_rejected(lattice):
+    n, a, b = lattice
+    with pytest.raises(ValueError, match="does not divide"):
+        build_gabor(n, 8.0, a, b)
 
 
 class TestZakMaps:
@@ -542,21 +560,6 @@ class TestLatticeBounds:
         ref_a, ref_b = lattice_reference(D)
         assert abs(A - ref_a) <= 1e-12 * ref_b
         assert abs(B - ref_b) <= 1e-12 * ref_b
-
-    @pytest.mark.parametrize("n, sigma, a, b", [
-        (60, 6.0, 4, 1 / 8),  # Q does not divide n: padded tables
-        (48, 4.0, 3, 1 / 8),  # a does not divide Q
-        (40, 4.0, 4, 3 / 20),  # 1/b = 20/3 is not an integer
-    ])
-    def test_other_lattices_keep_the_dense_and_power_branches(self, n, sigma, a, b):
-        D = build_gabor(n, sigma, a, b)
-        assert D._bounds_cache is None and not D.tight
-        ref_a, ref_b = lattice_reference(D)
-        A, B = frame_bounds(D)
-        assert D._bounds_cache[0] == "dense"
-        assert (A, B) == pytest.approx((ref_a, ref_b), rel=1e-12)
-        frame_bounds(D, dense_limit=1)
-        assert D._bounds_cache[0] == "power"
 
     def test_tight_flag_follows_the_lattice_bounds(self):
         flat = build_gabor(8, math.inf, 8, 1 / 8)
