@@ -1,15 +1,18 @@
 """Alternating parent/change pairs of the framecs benchmark.
 
     python3 scripts/bench_pairs.py PARENT CHANGE --workload certify --pairs 10 --seed 1
+    python3 scripts/bench_pairs.py PARENT CHANGE --workload radar,noise,certify,fullsize --pairs 10
 
-PARENT and CHANGE are two checkouts of the repository.  Pair k runs
-``python3 perfbench/run.py --workload W --seed S`` once in each, the
-parent first when k is odd and the change first when k is even, so
-neither side always runs on a warmer machine.  Each run's last stdout
-line is its JSON result.  The script then prints one Markdown table row
-per end-to-end metric: each side's median and quartiles, and in how many
-pairs the change read lower.  It exits 1 when any run exits nonzero,
-prints no result, is not ``correct`` or reports a failed operation.
+PARENT and CHANGE are two checkouts of the repository.  ``--workload``
+takes one workload or a comma-separated list, run one after the other.
+Pair k of a workload W runs ``python3 perfbench/run.py --workload W
+--seed S`` once in each, the parent first when k is odd and the change
+first when k is even, so neither side always runs on a warmer machine.
+Each run's last stdout line is its JSON result.  The script then prints
+one Markdown table with a row per workload and end-to-end metric: each
+side's median and quartiles, and in how many pairs the change read
+lower.  It exits 1 when any run exits nonzero, prints no result, is not
+``correct`` or reports a failed operation.
 
 Standard library only; nothing is written outside the two checkouts'
 own ``perfbench/out/``.
@@ -65,50 +68,55 @@ def _fmt(values: list[float], unit: str) -> str:
     return f"{med * scale:.2f}{suffix} ({q1 * scale:.2f}-{q3 * scale:.2f})"
 
 
-def table(workload: str, pairs: list[tuple[dict, dict]]) -> str:
+def rows(workload: str, pairs: list[tuple[dict, dict]]) -> list[str]:
     """Markdown rows, one per metric of the results, for (parent, change)
     result pairs; 'change lower' counts the pairs where the change's value
     is strictly below the parent's."""
-    rows = [HEADER]
+    out = []
     for name, meta in pairs[0][0]["metrics"].items():
         parent = [p["metrics"][name]["value"] for p, _ in pairs]
         change = [c["metrics"][name]["value"] for _, c in pairs]
         lower = sum(c < p for p, c in zip(parent, change))
-        rows.append(
+        out.append(
             f"| {workload} ({len(pairs)}) | `{name}` | {_fmt(parent, meta['unit'])} "
             f"| {_fmt(change, meta['unit'])} | {lower}/{len(pairs)} |"
         )
-    return "\n".join(rows)
+    return out
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
     ap.add_argument("change", type=Path)
-    ap.add_argument("--workload", required=True)
+    ap.add_argument("--workload", required=True,
+                    help="a workload, or several separated by commas")
     ap.add_argument("--pairs", type=int, required=True)
     ap.add_argument("--seed", type=int, default=1)
     args = ap.parse_args(argv)
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
-    pairs, bad = [], 0
-    for k in range(1, args.pairs + 1):
-        order = ("parent", "change") if k % 2 else ("change", "parent")
-        got = {}
-        for side in order:
-            result, problem = run_once(getattr(args, side), args.workload, args.seed)
-            if problem:
-                bad += 1
-                sys.stderr.write(f"pair {k} {side}: {problem}\n")
-            else:
-                got[side] = result
-                wall = result["metrics"].get("wall_s", {}).get("value", float("nan"))
-                sys.stderr.write(f"pair {k} {side}: wall_s {wall:.4g}\n")
-        if len(got) == 2:
-            pairs.append((got["parent"], got["change"]))
-    if pairs:
-        print(table(args.workload, pairs))
+    body, bad = [], 0
+    for workload in args.workload.split(","):
+        pairs = []
+        for k in range(1, args.pairs + 1):
+            order = ("parent", "change") if k % 2 else ("change", "parent")
+            got = {}
+            for side in order:
+                result, problem = run_once(getattr(args, side), workload, args.seed)
+                if problem:
+                    bad += 1
+                    sys.stderr.write(f"{workload} pair {k} {side}: {problem}\n")
+                else:
+                    got[side] = result
+                    wall = result["metrics"].get("wall_s", {}).get("value", float("nan"))
+                    sys.stderr.write(f"{workload} pair {k} {side}: wall_s {wall:.4g}\n")
+            if len(got) == 2:
+                pairs.append((got["parent"], got["change"]))
+        if pairs:
+            body += rows(workload, pairs)
+    if body:
+        print("\n".join([HEADER, *body]))
     if bad:
         sys.stderr.write(f"error: {bad} run(s) failed or were not correct\n")
         return 1

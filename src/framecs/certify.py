@@ -454,15 +454,6 @@ def theorem_constants_from_delta(
     )
 
 
-def _is_tight(D: Dictionary, probes: int = 5, tol: float = 1e-6) -> bool:
-    rng = make_rng(0x7167, stream=D.n)
-    for _ in range(probes):
-        f = rng.standard_normal(D.n) + 1j * rng.standard_normal(D.n)
-        if np.linalg.norm(D.apply(D.adjoint(f)) - f) > tol * np.linalg.norm(f):
-            return False
-    return True
-
-
 def verify_error_bound(
     f: np.ndarray | Signal,
     f_hat: np.ndarray | Signal,
@@ -474,16 +465,16 @@ def verify_error_bound(
 ) -> BoundCheck:
     """Check ||fhat - f||_2 <= C0*eps + C1*||D*f - (D*f)_s||_1/sqrt(s).
 
-    Probes tightness of D numerically; a non-tight dictionary flags the
-    check (hypothesis unmet) but the two sides are still computed.
+    ``tight_frame`` is D.tight, the D D* = I decision D's constructor
+    made; a non-tight dictionary flags the check (hypothesis unmet) but
+    the two sides are still computed.
     """
     if s < 1:
         raise ValueError("s must be >= 1")
     fv = f.samples if isinstance(f, Signal) else np.asarray(f, dtype=complex)
     fh = f_hat.samples if isinstance(f_hat, Signal) else np.asarray(f_hat, dtype=complex)
-    tight = _is_tight(D)
     coeffs = D.adjoint(fv)
     tail = coeffs - best_s_term(coeffs, s)
     lhs = float(np.linalg.norm(fh - fv))
     rhs = float(C0 * eps + C1 * np.sum(np.abs(tail)) / math.sqrt(s))
-    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, tight_frame=tight)
+    return BoundCheck(lhs=lhs, rhs=rhs, holds=lhs <= rhs, tight_frame=D.tight)

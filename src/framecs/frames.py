@@ -45,7 +45,8 @@ class Dictionary(LinearOperator):
 
     ``apply`` maps coefficients (length d) to a signal (length n);
     ``adjoint`` maps a signal to coefficients.  ``tight`` marks frames
-    known to satisfy D D* = I.
+    with D D* = I; each constructor decides it once, and nothing later
+    rewrites it.
     """
 
     def __init__(self, n, d, apply, adjoint, kind, tight=False):
@@ -54,11 +55,10 @@ class Dictionary(LinearOperator):
         self.d = int(d)
         self.kind = kind
         self.tight = bool(tight)
-        # (branch, (A, B)): "lattice" for exact bounds from the structure,
-        # set at build time and read by the solvers; else the last
-        # frame_bounds result with the branch that produced it, "dense" or
-        # "power".
-        self._bounds_cache: tuple[str, tuple[float, float]] | None = None
+        # Exact frame bounds (A, B) known from the structure, set by the
+        # constructor (build_gabor's lattice bounds) and never afterwards;
+        # None when the structure gives none.
+        self._bounds_cache: tuple[float, float] | None = None
 
     def __repr__(self):
         return (
@@ -78,6 +78,8 @@ def build_oversampled_dft(n: int, c: int = 1) -> Dictionary:
         raise ValueError("n must be >= 1")
     if c < 1:
         raise ValueError("oversampling factor c must be >= 1")
+    if not float(c).is_integer():
+        raise ValueError(f"oversampling factor c must be an integer, got {c}")
     n = int(n)
     c = int(c)
     d = c * n
@@ -178,17 +180,24 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     Zak-domain maps of _zak_maps instead.
 
     The build also computes the exact frame bounds (see _lattice_bounds)
-    and stores them as a "lattice" entry in ``_bounds_cache``, which
-    frame_bounds returns and from which the solvers take ||D|| = sqrt(B);
-    ``tight`` is set when B - A <= 1e-12 B.
+    and stores them in ``_bounds_cache``, which frame_bounds returns and
+    from which the solvers take ||D|| = sqrt(B).  ``tight`` means
+    D D* = I, so it is set only when both bounds lie within 1e-12 of 1: a
+    frame with A = B != 1, such as the flat window on (64, 8, 1/64) with
+    bounds (8, 8), is not tight.
 
-    Rejected: undersampled grids (a*b > 1), lattices that do not divide,
-    and lattices whose bounds give A <= 1e-12 B (not a frame).
+    Rejected: sigma that is not > 0 (NaN included), a time step a that is
+    not an integer >= 1, undersampled grids (a*b > 1), lattices that do
+    not divide, and lattices whose bounds give A <= 1e-12 B (not a frame).
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if not window_sigma > 0:
+        raise ValueError(f"window sigma must be > 0, got {window_sigma}")
     if a < 1:
         raise ValueError("time step a must be >= 1 sample")
+    if not float(a).is_integer():
+        raise ValueError(f"time step a must be an integer, got {a}")
     if not (0.0 < b <= 1.0):
         raise ValueError("frequency step b must lie in (0, 1]")
     if a * b > 1.0 + 1e-12:
@@ -216,8 +225,6 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     else:
         g = np.exp(-(dist**2) / (2.0 * window_sigma**2))
     gnorm = math.sqrt(float(np.sum(g**2)))
-    if gnorm == 0.0:
-        raise ValueError("window vanished; sigma too small for this n")
 
     bounds = _lattice_bounds(g, a, q)
     if bounds[0] <= 1e-12 * bounds[1]:
@@ -262,9 +269,9 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
             coef = np.fft.fft(folded, axis=0)  # [k1, k2, (col)]
             return (coef.swapaxes(0, 1) * (1 / gnorm)).reshape(d, *cols)
 
-    tight = bounds[1] - bounds[0] <= 1e-12 * bounds[1]
+    tight = max(abs(bounds[0] - 1.0), abs(bounds[1] - 1.0)) <= 1e-12
     out = Dictionary(n, d, apply, adjoint, kind="gabor", tight=tight)
-    out._bounds_cache = ("lattice", bounds)
+    out._bounds_cache = bounds
     return out
 
 
@@ -301,16 +308,14 @@ def build_identity(n: int) -> Dictionary:
     )
 
 
-def from_matrix(M: np.ndarray, tight: bool | None = None) -> Dictionary:
-    """Wrap a dense n x d matrix.  tight=None probes D D* = I numerically."""
+def from_matrix(M: np.ndarray) -> Dictionary:
+    """Wrap a dense n x d matrix.  ``tight`` is always measured: it is set
+    when ||M M* - I||_F <= 1e-10 sqrt(n)."""
     M = np.asarray(M, dtype=complex)
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     n, d = M.shape
-    if tight is None:
-        tight = bool(
-            np.linalg.norm(M @ M.conj().T - np.eye(n), "fro") <= 1e-10 * math.sqrt(n)
-        )
+    tight = np.linalg.norm(M @ M.conj().T - np.eye(n), "fro") <= 1e-10 * math.sqrt(n)
     # D* f = conj(M^T conj(f)): BLAS reads M through its transposed view,
     # so no conjugated copy of the table is kept
     out = Dictionary(
@@ -333,15 +338,14 @@ def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
     branch lands within 6e-5 (A) and 8e-5 (B) relative of the dense
     eigenvalues.
 
-    A "lattice" entry (exact bounds that build_gabor stores) answers every
-    ``dense_limit``.  Otherwise the result is cached on D together with the
-    branch that produced it, "dense" or "power", so a later call whose
-    ``dense_limit`` selects the other branch recomputes.
+    Exact bounds stored at construction (build_gabor's) answer every
+    ``dense_limit``.  Otherwise the bounds are computed afresh on each
+    call and nothing is stored on D, so no result depends on which calls
+    ran on D before.
     """
-    branch = "dense" if D.n <= dense_limit else "power"
-    if D._bounds_cache is not None and D._bounds_cache[0] in ("lattice", branch):
-        return D._bounds_cache[1]
-    if branch == "dense":
+    if D._bounds_cache is not None:
+        return D._bounds_cache
+    if D.n <= dense_limit:
         eig = np.linalg.eigvalsh(gram(D))
         A, B = float(eig[0]), float(eig[-1])
     else:
@@ -353,9 +357,7 @@ def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
         A = B - power_iteration(
             lambda v: B * v - frame_op(v), D.n, make_rng(0x5EED, D.n), 500
         )
-    A = max(A, 0.0)
-    D._bounds_cache = (branch, (A, B))
-    return A, B
+    return max(A, 0.0), B
 
 
 def tighten(D: Dictionary) -> Dictionary:

@@ -25,9 +25,12 @@ of the wrong shape raises ValueError naming the expected one.
 alike: from the stored matrix, or else from identity blocks of at most
 ``BLOCK_BYTES`` pushed through adjoint and then apply.
 
-Operators are immutable after construction.  The dense cache holds the
-matrix a dense operator was built from, in its own dtype, or is filled
-lazily by ``dense()``; either way it is a pure function of the operator.
+Operators are immutable after construction.  ``_dense_cache`` holds the
+matrix a dense operator was built from, in its own dtype, and nothing
+else.  ``dense()`` materializes any other operator once and keeps that
+matrix apart, where only ``dense()`` reads it: gram and every other
+routine that branches on a stored matrix see none, so no result depends
+on which calls ran before it.
 """
 
 from __future__ import annotations
@@ -85,6 +88,7 @@ class LinearOperator:
         self._apply = apply
         self._adjoint = adjoint
         self._dense_cache: np.ndarray | None = None
+        self._materialized: np.ndarray | None = None  # dense()'s own result
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         x = self._operand(x)
@@ -118,11 +122,12 @@ class LinearOperator:
 
     def dense(self, cap: int = MATERIALIZATION_CAP) -> np.ndarray:
         """The out_dim x in_dim matrix: the stored one, in its own dtype,
-        or else complex, materialized by applying to the basis.
+        or else complex, materialized by applying to the basis on the
+        first call and returned again on later ones.
 
-        Refuses to materialize when out_dim*in_dim exceeds `cap`;
-        structured operators remain usable through apply/adjoint
-        regardless.
+        Refuses to materialize when out_dim*in_dim exceeds `cap`, whether
+        or not an earlier call materialized; structured operators remain
+        usable through apply/adjoint regardless.
         """
         if self._dense_cache is not None:
             return self._dense_cache
@@ -131,13 +136,15 @@ class LinearOperator:
                 f"dense materialization of {self.out_dim}x{self.in_dim} exceeds "
                 f"cap of {cap} entries"
             )
+        if self._materialized is not None:
+            return self._materialized
         cols = np.empty((self.out_dim, self.in_dim), dtype=complex)
         e = np.zeros(self.in_dim, dtype=complex)
         for j in range(self.in_dim):
             e[j] = 1.0
             cols[:, j] = self._apply(e)
             e[j] = 0.0
-        self._dense_cache = cols
+        self._materialized = cols
         return cols
 
 

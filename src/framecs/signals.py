@@ -83,12 +83,13 @@ def radar_pulse_train(
     n: int,
     p: PulseParams,
     sample_rate: float | None = None,
-    real_output: bool = True,
 ) -> Signal:
     """Superposition of pulses: trapezoid envelope times a random carrier.
 
     Each pulse gets a carrier frequency uniform in [f_lo, f_hi] and an
     integer start time uniform in [0, n - duration]; pulses may overlap.
+    The samples are the real part of the sum, env * cos(2 pi freq t),
+    stored complex with zero imaginary part.
     """
     if p.duration > n:
         raise ValueError(f"pulse duration {p.duration} exceeds signal length {n}")
@@ -101,8 +102,7 @@ def radar_pulse_train(
         start = int(rng.integers(0, n - p.duration + 1))
         carrier = np.exp(2j * np.pi * freq * t[start : start + p.duration])
         f[start : start + p.duration] += env * carrier
-    if real_output:
-        f = f.real.astype(complex)
+    f = f.real.astype(complex)
     return Signal(f, sample_rate=sample_rate, label="radar_pulse_train")
 
 

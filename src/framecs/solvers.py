@@ -325,12 +325,10 @@ def _real_part(apply: Callable[[np.ndarray], np.ndarray]):
 
 
 def _op_norm(D: Dictionary) -> float:
-    """||D||: sqrt(B) from a "lattice" bounds entry (build_gabor's exact
-    frame bounds), else power iteration on D D*.  Cached "dense" and
-    "power" entries are ignored, so the step size, and with it the solve,
-    does not depend on whether frame_bounds ran on D before."""
-    if D._bounds_cache is not None and D._bounds_cache[0] == "lattice":
-        return math.sqrt(D._bounds_cache[1][1])
+    """||D||: sqrt(B) from the exact bounds stored at construction
+    (build_gabor's lattice bounds), else power iteration on D D*."""
+    if D._bounds_cache is not None:
+        return math.sqrt(D._bounds_cache[1])
     rng = make_rng(_POWER_SEED, stream=0x9090)
     lam = power_iteration(lambda v: D.apply(D.adjoint(v)), D.n, rng, _POWER_ITERS)
     return math.sqrt(max(lam, 0.0))

@@ -285,7 +285,7 @@ def test_criterion_7_error_bound_holds_50_of_50():
         rng = make_rng(900, stream=t)
         q, _ = np.linalg.qr(rng.standard_normal((d, n))
                             + 1j * rng.standard_normal((d, n)))
-        D = from_matrix(q.conj().T, tight=True)
+        D = from_matrix(q.conj().T)  # measured tight: D D* = q* q = I
         x = np.arange(1, d + 1, dtype=float) ** -1.5
         x = x * np.exp(2j * np.pi * rng.uniform(size=d))
         x = x[rng.permutation(d)]

@@ -27,9 +27,7 @@ def test_table_of_canned_pairs():
         (result(1.20, 0.0028, 41.7), result(0.70, 0.0027, 42.4)),
         (result(1.30, 0.0029, 41.8), result(1.30, 0.0025, 42.2)),
     ]
-    rows = bench_pairs.table("certify", pairs).splitlines()
-    assert rows[:2] == bench_pairs.HEADER.splitlines()
-    assert rows[2:] == [
+    assert bench_pairs.rows("certify", pairs) == [
         "| certify (3) | `setup_s` | 2.90 ms (2.85-2.95) | 2.70 ms (2.60-2.90) | 2/3 |",
         "| certify (3) | `wall_s` | 1.30 s (1.25-1.35) | 0.70 s (0.65-1.00) | 2/3 |",
         "| certify (3) | `peak_rss_mb` | 41.70 (41.70-41.75) | 42.30 (42.25-42.35) | 0/3 |",
@@ -37,8 +35,8 @@ def test_table_of_canned_pairs():
 
 
 def test_one_pair_has_no_spread():
-    rows = bench_pairs.table("noise", [(result(2.0, 0.5, 40.0), result(1.0, 0.5, 40.0))])
-    assert rows.splitlines()[3] == "| noise (1) | `wall_s` | 2.00 s (2.00-2.00) | 1.00 s (1.00-1.00) | 1/1 |"
+    rows = bench_pairs.rows("noise", [(result(2.0, 0.5, 40.0), result(1.0, 0.5, 40.0))])
+    assert rows[1] == "| noise (1) | `wall_s` | 2.00 s (2.00-2.00) | 1.00 s (1.00-1.00) | 1/1 |"
 
 
 def fake_checkout(root, name, res, log):
@@ -74,3 +72,34 @@ def test_main_alternates_and_fails_on_a_bad_run(tmp_path, capsys, change, code):
         assert "| certify (3) | `wall_s` | 2.00 s (2.00-2.00) | 1.00 s (1.00-1.00) | 3/3 |" in out
     else:
         assert out == ""
+
+
+def test_main_runs_each_listed_workload_and_prints_one_table(monkeypatch, capsys):
+    calls = []
+
+    def run_once(checkout, workload, seed):
+        calls.append((checkout.name, workload))
+        if (checkout.name, workload, len(calls)) == ("change", "certify", 7):
+            return None, "exit 1: boom"
+        wall = {"parent": 2.0, "change": 1.0}[checkout.name]
+        return result(wall, 0.002, 40.0), ""
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    code = bench_pairs.main(
+        ["parent", "change", "--workload", "radar,certify", "--pairs", "2"]
+    )
+    assert code == 1
+    assert calls == [
+        ("parent", "radar"), ("change", "radar"), ("change", "radar"), ("parent", "radar"),
+        ("parent", "certify"), ("change", "certify"), ("change", "certify"),
+        ("parent", "certify"),
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:2] == bench_pairs.HEADER.splitlines()
+    # the failed run leaves certify one complete pair
+    assert [line.split(" | ")[0:2] for line in lines[2:]] == [
+        ["| radar (2)", "`setup_s`"], ["| radar (2)", "`wall_s`"],
+        ["| radar (2)", "`peak_rss_mb`"], ["| certify (1)", "`setup_s`"],
+        ["| certify (1)", "`wall_s`"], ["| certify (1)", "`peak_rss_mb`"],
+    ]
+    assert "| radar (2) | `wall_s` | 2.00 s (2.00-2.00) | 1.00 s (1.00-1.00) | 2/2 |" in lines

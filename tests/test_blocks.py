@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from framecs.certify import verify_error_bound
 from framecs.frames import (
     Dictionary,
     _zak_maps,
@@ -52,6 +53,7 @@ OPERATORS = {
     "subsampled_dft": lambda: subsampled_dft_sign(20, 64, seed=3),
 }
 KINDS = list(OPERATORS)
+DICTIONARY_KINDS = [k for k in KINDS if isinstance(OPERATORS[k](), Dictionary)]
 
 
 def _dims(op, method):
@@ -157,3 +159,14 @@ def test_gram_blocks_stay_within_the_budget(monkeypatch):
     assert widths == [5] * 12 + [4]
     M = D.dense()
     assert np.max(np.abs(G - M @ M.conj().T)) <= 1e-12
+
+
+@pytest.mark.parametrize("kind", DICTIONARY_KINDS)
+def test_bound_check_reports_the_constructor_tight_flag(kind):
+    D = OPERATORS[kind]()
+    rng = make_rng(6, D.n)
+    f = rng.standard_normal(D.n) + 1j * rng.standard_normal(D.n)
+    check = verify_error_bound(f, f, D, s=2, eps=0.0, C0=62.0, C1=30.0)
+    assert check.tight_frame == D.tight
+    # the constructor's flag is D D* = I on the frame operator
+    assert D.tight == (np.max(np.abs(gram(D) - np.eye(D.n))) <= 1e-10)

@@ -171,6 +171,18 @@ class TestRecover:
         assert "not a frame" in err
         assert not (tmp_path / "report.json").exists()
 
+    def test_gabor_sigma_zero_exits_1(self, tmp_path, capsys):
+        code, out, err = run_cli(
+            ["recover", "--method", "analysis", "--dict", "gabor",
+             "--gabor-sigma", "0", "--n", "64", "--m", "32",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert "window sigma must be > 0" in err
+        assert not (tmp_path / "report.json").exists()
+
     @pytest.mark.parametrize("a, b, n", [("2", "0.3", "64"), ("3", "0.125", "64")])
     def test_gabor_lattice_that_does_not_divide_exits_1(self, a, b, n, tmp_path, capsys):
         code, out, err = run_cli(

@@ -4,10 +4,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, reject, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
-from framecs.certify import _is_tight
+from framecs.certify import drip_exact_small
 from framecs.frames import (
     _GEMM_TABLE_BYTES,
     Dictionary,
@@ -24,6 +24,7 @@ from framecs.frames import (
 )
 from framecs.linops import LinearOperator, adjoint_mismatch, gram
 from framecs.rng import make_rng
+from framecs.sensing import gaussian_sensing
 from oracles import gabor_atoms, gabor_frame_operator, gabor_window
 
 
@@ -36,6 +37,26 @@ def plain(D):
     """D's maps in a Dictionary without its lattice bounds entry, so
     frame_bounds takes the dense or power branch."""
     return Dictionary(D.n, D.d, D.apply, D.adjoint, D.kind, D.tight)
+
+
+def counting(D):
+    """(C, columns): D's maps in a Dictionary without its bounds entry,
+    and the number of columns that have gone through each of C's maps,
+    whether passed one by one or in blocks."""
+    columns = {"apply": 0, "adjoint": 0}
+
+    def counted(name, fn):
+        def call(v):
+            columns[name] += 1 if v.ndim == 1 else v.shape[1]
+            return fn(v)
+
+        return call
+
+    C = Dictionary(
+        D.n, D.d, counted("apply", D.apply), counted("adjoint", D.adjoint),
+        D.kind, D.tight,
+    )
+    return C, columns
 
 
 class TestOversampledDft:
@@ -71,6 +92,12 @@ class TestOversampledDft:
             build_oversampled_dft(0, 1)
         with pytest.raises(ValueError):
             build_oversampled_dft(4, 0)
+
+    @pytest.mark.parametrize("c", [2.5, 1.5, math.nan, math.inf])
+    def test_non_integer_oversampling_rejected(self, c):
+        # int(2.5) would silently build c = 2
+        with pytest.raises(ValueError, match="oversampling factor c must be"):
+            build_oversampled_dft(16, c)
 
     def test_dense_cap_blocks_export_not_use(self):
         D = build_oversampled_dft(64, 2)
@@ -115,6 +142,18 @@ class TestGabor:
     def test_undersampled_grid_rejected(self):
         with pytest.raises(ValueError, match="undersampled"):
             build_gabor(64, 4.0, 8, 1 / 4)
+
+    @pytest.mark.parametrize("sigma", [0.0, -2.0, -math.inf, math.nan])
+    def test_sigma_that_is_not_positive_rejected(self, sigma):
+        # sigma = 0 gave a NaN window and sigma = -2 the sigma = 2 window
+        with pytest.raises(ValueError, match="window sigma must be > 0"):
+            build_gabor(64, sigma, 4, 1 / 16)
+
+    @pytest.mark.parametrize("a", [2.5, 4.5])
+    def test_non_integer_time_step_rejected(self, a):
+        # int(2.5) would silently build a = 2
+        with pytest.raises(ValueError, match="time step a must be an integer"):
+            build_gabor(64, 4.0, a, 1 / 16)
 
     @pytest.mark.parametrize("n, sigma, a, b", [
         (60, 6.0, 4, 1 / 8),  # Q does not divide n
@@ -351,9 +390,11 @@ class TestTighten:
             tighten(from_matrix(M))
 
     def test_gabor_input_left_unmaterialized(self):
-        D = build_gabor(64, 4.0, 4, 1 / 16)
-        tighten(D)
-        assert D._dense_cache is None
+        # S = D D* takes n columns through each map; materializing D
+        # would take d = 256 more through apply
+        C, columns = counting(build_gabor(64, 4.0, 4, 1 / 16))
+        tighten(C)
+        assert columns == {"apply": 64, "adjoint": 64}
 
 
 class TestFromMatrix:
@@ -361,18 +402,17 @@ class TestFromMatrix:
     def test_adjoint_matches_the_conjugate_transpose_bit_for_bit(self, n, d):
         rng = make_rng(40, n)
         M = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-        D = from_matrix(M, tight=False)
+        D = from_matrix(M)
         for shape in [(n,), (n, 3), (n, 1)]:
             f = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
             assert np.array_equal(D.adjoint(f), M.conj().T @ f)
 
-    @pytest.mark.parametrize("tight", [None, False])
-    def test_build_keeps_no_copy_of_the_matrix(self, tight):
+    def test_build_keeps_no_copy_of_the_matrix(self):
         rng = make_rng(41)
         M = rng.standard_normal((256, 1024)) + 1j * rng.standard_normal((256, 1024))
         tracemalloc.start()
         try:
-            D = from_matrix(M, tight=tight)
+            D = from_matrix(M)
             retained, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -405,7 +445,7 @@ class TestFrameBounds:
         M = D.dense()
         eig = np.linalg.eigvalsh(M @ M.conj().T)
         A, B = frame_bounds(D, dense_limit=16)
-        assert D._bounds_cache[0] == "power"
+        assert D._bounds_cache is None
         assert A == pytest.approx(eig[0], rel=1e-3)
         assert B == pytest.approx(eig[-1], rel=1e-3)
 
@@ -415,50 +455,46 @@ class TestFrameBounds:
     def test_unmaterialized_frame_takes_n_operator_pairs(self, n, sigma, a, b):
         M = build_gabor(n, sigma, a, b).dense()
         eig = np.linalg.eigvalsh(M @ M.conj().T)
-        D = build_gabor(n, sigma, a, b)
-        # columns through each map, whether passed one by one or in blocks
-        columns = {"apply": 0, "adjoint": 0}
-
-        def counted(name, fn):
-            def call(v):
-                columns[name] += 1 if v.ndim == 1 else v.shape[1]
-                return fn(v)
-
-            return call
-
-        C = Dictionary(
-            D.n, D.d, counted("apply", D.apply), counted("adjoint", D.adjoint),
-            D.kind, D.tight,
-        )
+        C, columns = counting(build_gabor(n, sigma, a, b))
         A, B = frame_bounds(C)
         assert columns == {"apply": n, "adjoint": n}
-        assert C._dense_cache is None and D._dense_cache is None
         assert A == pytest.approx(eig[0], rel=1e-12)
         assert B == pytest.approx(eig[-1], rel=1e-12)
 
-    def test_cache_returns_the_requested_branch(self):
-        # The dense and power branches differ in the fifth digit here, so a
-        # cached result from one branch must not answer a call for the other.
-        def fresh():
-            return plain(build_gabor(256, 8.0, 8, 1 / 32))
-
-        exact, power = frame_bounds(fresh()), frame_bounds(fresh(), dense_limit=16)
-        assert exact != power
-        D = fresh()
-        assert frame_bounds(D) == exact
-        assert frame_bounds(D, dense_limit=16) == power
-        D = fresh()
-        assert frame_bounds(D, dense_limit=16) == power
-        assert frame_bounds(D) == exact
-
     def test_lattice_entry_answers_both_branches(self):
         D = build_gabor(256, 8.0, 8, 1 / 32)
-        branch, bounds = D._bounds_cache
-        assert branch == "lattice"
+        bounds = D._bounds_cache
         assert frame_bounds(D) == bounds
         assert frame_bounds(D, dense_limit=16) == bounds
-        assert D._bounds_cache == ("lattice", bounds)
+        assert D._bounds_cache is bounds
         assert bounds == pytest.approx(frame_bounds(plain(D)), rel=1e-13)
+
+
+@pytest.mark.parametrize("earlier", ["dense", "drip_exact_small"])
+def test_results_do_not_depend_on_earlier_calls(earlier):
+    """frame_bounds, gram and tighten give the same bits on a fresh D and
+    on one that has been materialized before, since dense() keeps its
+    matrix out of the stored one that gram and tighten read, and
+    frame_bounds writes nothing on D."""
+
+    def build():
+        # a concatenation: no stored matrix, no exact bounds, not tight
+        return build_concat(build_gabor(64, 4.0, 4, 1 / 16), build_oversampled_dft(64))
+
+    def results(D):
+        return frame_bounds(D), gram(D), tighten(D).dense()
+
+    fresh = results(build())
+    D = build()
+    if earlier == "dense":
+        D.dense()
+    else:
+        drip_exact_small(gaussian_sensing(8, 64, seed=5), D, 1)
+    again = results(D)
+    assert again[0] == fresh[0]
+    assert np.array_equal(again[1], fresh[1])
+    assert np.array_equal(again[2], fresh[2])
+    assert D._dense_cache is None and D._bounds_cache is None
 
 
 @st.composite
@@ -537,8 +573,7 @@ class TestLatticeBounds:
     ])
     def test_bounds_match_the_dense_eigensolve(self, n, sigma, a, b):
         D = build_gabor(n, sigma, a, b)
-        branch, (A, B) = D._bounds_cache
-        assert branch == "lattice"
+        A, B = D._bounds_cache
         ref_a, ref_b = lattice_reference(D)
         assert A == pytest.approx(ref_a, rel=1e-13)
         assert B == pytest.approx(ref_b, rel=1e-13)
@@ -555,18 +590,40 @@ class TestLatticeBounds:
             eig = np.linalg.eigvalsh(gabor_frame_operator(n, sigma, a, q))
             assert eig[0] <= 2e-12 * eig[-1]
             return
-        branch, (A, B) = D._bounds_cache
-        assert branch == "lattice"
+        A, B = D._bounds_cache
         ref_a, ref_b = lattice_reference(D)
         assert abs(A - ref_a) <= 1e-12 * ref_b
         assert abs(B - ref_b) <= 1e-12 * ref_b
 
     def test_tight_flag_follows_the_lattice_bounds(self):
-        flat = build_gabor(8, math.inf, 8, 1 / 8)
-        radar = build_gabor(1024, 16.0, 8, 1 / 64)
-        assert flat.tight and not radar.tight
-        # the flag agrees with the numerical probe verify_error_bound uses
-        assert _is_tight(flat) and not _is_tight(radar)
+        flat = build_gabor(8, math.inf, 8, 1 / 8)  # the unitary DFT: bounds (1, 1)
+        radar = build_gabor(1024, 16.0, 8, 1 / 64)  # bounds (7.707, 8.293)
+        # A = B = 8: D D* = 8 I, tight in the loose sense but not Parseval
+        scaled = build_gabor(64, math.inf, 8, 1 / 64)
+        assert flat.tight and not radar.tight and not scaled.tight
+        assert scaled._bounds_cache == pytest.approx((8.0, 8.0), rel=1e-13)
+        # the flag agrees with D D* = I on the dense frame operator
+        for D, tight in ((flat, True), (radar, False), (scaled, False)):
+            defect = np.max(np.abs(gram(plain(D)) - np.eye(D.n)))
+            assert (defect <= 1e-12) == tight
+
+    @given(dividing_lattices(), st.one_of(st.floats(0.5, 40.0), st.just(math.inf)))
+    @example((8, 8, 8), math.inf)  # tight
+    @example((64, 8, 64), math.inf)  # A = B = 8
+    @settings(max_examples=40, deadline=None)
+    def test_tight_exactly_when_both_bounds_are_one(self, lattice, sigma):
+        n, a, q = lattice
+        try:
+            D = build_gabor(n, sigma, a, 1 / q)
+        except ValueError as exc:
+            assert "not a frame" in str(exc)
+            reject()
+        A, B = D._bounds_cache
+        assert D.tight == (max(abs(A - 1.0), abs(B - 1.0)) <= 1e-12)
+        if D.tight:
+            rng = make_rng(34, n)
+            f = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+            assert np.linalg.norm(D.apply(D.adjoint(f)) - f) <= 1e-12 * np.linalg.norm(f)
 
 
 class TestCoherence:

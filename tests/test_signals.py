@@ -25,16 +25,18 @@ class TestRadarPulseTrain:
     def test_rectangular_degenerate(self):
         p = PulseParams(num_pulses=1, duration=16, rise_fall=0, f_lo=0.1,
                         f_hi=0.1, seed=3)
-        f = radar_pulse_train(64, p, real_output=False)
-        mags = np.abs(f.samples)
-        on = mags > 0
+        f = radar_pulse_train(64, p)
+        on = np.abs(f.samples) > 0
         assert on.sum() == 16
-        assert np.allclose(mags[on], 1.0, atol=1e-12)
+        # a flat envelope: the samples are the carrier's real part
+        t = np.flatnonzero(on)
+        assert np.allclose(f.samples[on], np.cos(2 * np.pi * 0.1 * t), atol=1e-12)
 
     def test_envelope_regenerated_pointwise(self):
-        p = PulseParams(num_pulses=1, duration=40, rise_fall=8, f_lo=0.2,
-                        f_hi=0.3, seed=11)
-        f = radar_pulse_train(128, p, real_output=False)
+        # a zero-frequency carrier, so the samples are the envelope itself
+        p = PulseParams(num_pulses=1, duration=40, rise_fall=8, f_lo=0.0,
+                        f_hi=0.0, seed=11)
+        f = radar_pulse_train(128, p)
         mags = np.abs(f.samples)
         # env[0] = 0, so the first visible sample is one step into the ramp
         start = int(np.flatnonzero(mags)[0])
@@ -55,7 +57,7 @@ class TestRadarPulseTrain:
 
     def test_real_output_flag(self):
         p = PulseParams(num_pulses=2, duration=32, rise_fall=4, seed=5)
-        f = radar_pulse_train(64, p, real_output=True)
+        f = radar_pulse_train(64, p)
         assert np.max(np.abs(f.samples.imag)) == 0.0
 
     def test_infeasible_params(self):
