@@ -5,9 +5,12 @@ the union of subspaces spanned by any s dictionary atoms.  Two routes:
 a Monte-Carlo sampler (lower bound: sampling a supremum cannot
 overestimate it) and an exact small-instance oracle that enumerates every
 support and reads the extreme singular values of A restricted to the
-spanned subspace.  The oracle screens each chunk of supports first: the
-eigenvalues of a support's two s x s Grams estimate its isometry defect
-to far better than ``SCREEN_MARGIN``, so only the supports whose estimate
+spanned subspace.  The oracle screens each chunk of supports first,
+from a support's two s x s Grams, read from D^H D and (AD)^H (AD).  A
+bound stage brackets each defect by the traces of P^-1 G (Wolkowicz and
+Styan) and prunes the supports whose upper bound lies below the best
+lower bound so far.  The few left get an eigensolve, whose estimate is
+far better than ``SCREEN_MARGIN``; only the supports whose estimate
 comes within two margins of the best one, and those the screen's
 conditioning guard rejects, go through the SVDs.  The result is bit for
 bit that of evaluating every support by SVD.
@@ -59,6 +62,17 @@ class EnumerationCapError(ValueError):
 # the benchmark's instances), far inside SCREEN_MARGIN times that scale.
 SCREEN_GUARD = 1e-3
 SCREEN_MARGIN = 1e-8
+# Slack of the trace bounds (_bracket), SCREEN_SLACK max(1, mu + sigma
+# sqrt(s-1)) a support, where the scale bounds lam_max.  It covers the
+# estimate's margin (SCREEN_MARGIN of the scale) and the bounds' own
+# rounding.  Under the guard the solve moves X by a few eps /
+# SCREEN_GUARD of the scale, which moves mu and sigma as little.  But
+# sigma^2 = t2/s - mu^2 cancels when sigma ~ 0: rounding t2 and mu^2 by a
+# few eps leaves an error e ~ 1e-16 of the scale squared, which moves
+# sigma by up to sqrt(e), and sigma sqrt(s-1) by up to 2.1e-8 of the
+# scale (measured on near-multiples G ~ c P, s <= 5).  1e-6 covers the
+# two with room; 1e-8 does not.
+SCREEN_SLACK = 1e-6
 # Philox stream of the Monte Carlo draws: not 0 (sensing, pulses, noise),
 # not 0x9090 (power iteration) and above every split_seed stream in use.
 MC_STREAM = 0x4D6F6E7465
@@ -250,21 +264,57 @@ def _subspace_extremes(
     return rank, smin2, smax2
 
 
-def _screen(
-    cols: np.ndarray, acols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Defect estimates of the stacked supports with atoms cols[k] (n x s)
-    and images acols[k] = A cols[k] (m x s).
+def _gather(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
+    """The s x s block gram[T][:, T] of each support T (a row of
+    ``supports``); a 1-d ``gram`` holds only the diagonal (s = 1)."""
+    if gram.ndim == 1:
+        return gram[supports][:, :, None]
+    return gram[supports[:, :, None], supports[:, None, :]]
 
-    A support passes when its Grams P = cols^H cols and G = acols^H acols
-    are finite and det(P / tr P) > SCREEN_GUARD.  For each passing support
-    (indices ``passed``), ``est`` = max(lam_max - 1, 1 - lam_min) over the
-    eigenvalues of L^-1 G L^-H, P = L L^H, which are the extreme squared
-    singular values of A on span(cols[k]); ``margin`` = SCREEN_MARGIN
-    max(1, lam_max) bounds its distance from the SVD value."""
-    herm = (0, 2, 1)
-    P = cols.conj().transpose(herm) @ cols
-    G = acols.conj().transpose(herm) @ acols
+
+def _bracket(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bounds lb <= est <= ub on the defect est = max(lam_max - 1,
+    1 - lam_min) of each stacked pencil (P[k], G[k]), and the slack that
+    covers their rounding.
+
+    The eigenvalues of X = P^-1 G are real, so with mu = Re tr X / s and
+    sigma^2 = Re tr X^2 / s - mu^2 (tr X^2 = sum_ij X_ij X_ji), Wolkowicz
+    and Styan (Linear Algebra Appl. 29, 1980) put lam_max in
+    [mu + sigma/sqrt(s-1), mu + sigma sqrt(s-1)] and lam_min in
+    [mu - sigma sqrt(s-1), mu - sigma/sqrt(s-1)]; at s = 1, lam = mu."""
+    s = P.shape[1]
+    X = np.linalg.solve(P, G)
+    mu = np.trace(X, axis1=1, axis2=2).real / s
+    t2 = np.sum(X * X.transpose(0, 2, 1), axis=(1, 2)).real
+    sigma = np.sqrt(np.maximum(t2 / s - mu**2, 0.0))
+    wide, narrow = (math.sqrt(s - 1), 1.0 / math.sqrt(s - 1)) if s > 1 else (0.0, 0.0)
+    lb = np.abs(mu - 1.0) + narrow * sigma
+    ub = np.abs(mu - 1.0) + wide * sigma
+    return lb, ub, SCREEN_SLACK * np.maximum(1.0, mu + wide * sigma)
+
+
+def _estimate(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Defect est = max(lam_max - 1, 1 - lam_min) over the eigenvalues of
+    L^-1 G L^-H, P = L L^H, of each stacked pencil, and the margin
+    SCREEN_MARGIN max(1, lam_max) that bounds its distance from the SVD
+    value."""
+    Linv = np.linalg.inv(np.linalg.cholesky(P))
+    lam = np.linalg.eigvalsh(Linv @ G @ Linv.conj().transpose(0, 2, 1))
+    est = np.maximum(lam[:, -1] - 1.0, 1.0 - lam[:, 0])
+    return est, SCREEN_MARGIN * np.maximum(1.0, lam[:, -1])
+
+
+def _screen(P: np.ndarray, G: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
+    """Indices of the stacked supports, with Grams P[k] of their atoms and
+    G[k] of their images under A, whose defect lies below the raised
+    floor, and that floor.
+
+    A support is screened when P and G are finite and det(P / tr P) >
+    SCREEN_GUARD.  The floor rises to the largest lb - slack (_bracket)
+    of a screened support; one whose ub + slack lies below it is pruned
+    there.  The others get est and margin (_estimate); the floor rises to
+    the largest est - margin, and those with est + margin below it are
+    pruned too."""
     trace = P.diagonal(axis1=1, axis2=2).real.sum(axis=1)
     ok = np.flatnonzero(
         np.isfinite(P).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2)) & (trace > 0.0)
@@ -272,10 +322,13 @@ def _screen(
     # det of P scaled to unit trace, which cannot overflow
     scaled_det = np.linalg.det(P[ok] / trace[ok, None, None]).real
     passed = ok[scaled_det > SCREEN_GUARD]
-    Linv = np.linalg.inv(np.linalg.cholesky(P[passed]))
-    lam = np.linalg.eigvalsh(Linv @ G[passed] @ Linv.conj().transpose(herm))
-    est = np.maximum(lam[:, -1] - 1.0, 1.0 - lam[:, 0])
-    return passed, est, SCREEN_MARGIN * np.maximum(1.0, lam[:, -1])
+    lb, ub, slack = _bracket(P[passed], G[passed])
+    floor = max(floor, float(np.max(lb - slack, initial=-math.inf)))
+    near = ub + slack >= floor
+    close = passed[near]
+    est, margin = _estimate(P[close], G[close])
+    floor = max(floor, float(np.max(est - margin, initial=-math.inf)))
+    return np.concatenate([passed[~near], close[est + margin < floor]]), floor
 
 
 def drip_exact_small(
@@ -294,22 +347,30 @@ def drip_exact_small(
     skipped.
 
     Supports are taken in ``itertools.combinations`` order, in chunks
-    sized by ``BLOCK_BYTES``; the SVDs run stacked over a chunk (the
-    second one per rank present), which LAPACK evaluates matrix by matrix
-    exactly as it would one support at a time.
+    sized by ``BLOCK_BYTES``; the SVDs run stacked (the second one per
+    rank present), which LAPACK evaluates matrix by matrix exactly as it
+    would one support at a time.
 
     Without ``details`` only the largest v reaches the result, so each
-    chunk is screened first (``_screen``).  A support that passes the
-    conditioning guard det P > SCREEN_GUARD (tr P)^s is full rank and gets
-    an estimate est with |est - v| < margin = SCREEN_MARGIN max(1,
-    lam_max).  With ``floor`` the largest est - margin screened so far, or
-    the largest v already computed if that is higher, a support with
-    est + margin < floor has v < floor <= v' for a support that reached
-    the SVDs, so it is counted in ``trials`` and not evaluated.  Only the
-    other supports, and every support the guard rejects (zero,
-    duplicated or near-dependent atoms, anything non-finite), go through
-    the SVDs, so ``delta_hat`` and ``trials`` are bit for bit those of
-    evaluating every support.  With ``details`` every support is.
+    chunk is screened first (``_screen``).  Each support's s x s Grams
+    P = D_T^H D_T and G = (A D_T)^H (A D_T) are read from D^H D and
+    (AD)^H (AD), formed once per call: 32 d^2 bytes, at most about 64 MB
+    (s = 2, d = 1414 under the default cap); at s = 1 only their
+    diagonals are formed.  A support that passes the conditioning guard
+    det P > SCREEN_GUARD (tr P)^s is full rank, and its v lies in
+    [lb - slack, ub + slack] from traces of P^-1 G (``_bracket``), with
+    no eigensolve.  With ``floor`` the largest lb - slack screened so
+    far, or the largest v already computed if that is higher, a support
+    with ub + slack < floor has v < floor, and is counted in ``trials``
+    and not evaluated.  The support that sets the floor is never pruned
+    and reaches the SVDs, where its v >= floor.  The remaining screened
+    supports get an eigenvalue estimate est with |est - v| < margin
+    (``_estimate``) and are pruned the same way against the floor raised
+    by est - margin.  Only the other supports, and every support the
+    guard rejects (zero, duplicated or near-dependent atoms, anything
+    non-finite), have their atoms gathered and go through the SVDs, so
+    ``delta_hat`` and ``trials`` are bit for bit those of evaluating
+    every support.  With ``details`` every support is.
     """
     if not (1 <= s <= D.d):
         raise ValueError(f"s must lie in [1, {D.d}]")
@@ -321,8 +382,18 @@ def drip_exact_small(
         )
     M = D.dense()
     Adense = A.dense()
-    AM = None if details else Adense @ M
-    chunk = max(1, BLOCK_BYTES // (16 * s * (2 * D.n + A.m)))
+    if not details:
+        AM = Adense @ M
+        # D^H D and (AD)^H (AD), or at s = 1 only their diagonals
+        if s == 1:
+            grams = (_sq_norms(M), _sq_norms(AM))
+        else:
+            grams = (M.conj().T @ M, AM.conj().T @ AM)
+    # the screen holds about eight s x s complex matrices and sixteen
+    # scalars a support; the SVDs its atoms, their left singular vectors
+    # and their images
+    chunk = max(1, BLOCK_BYTES // (128 * (s * s + 1)))
+    batch = max(1, BLOCK_BYTES // (16 * s * (2 * D.n + A.m)))
     tol_factor = max(D.n, s) * np.finfo(float).eps
     combos = itertools.combinations(range(D.d), s)
     worst = 0.0
@@ -336,23 +407,24 @@ def drip_exact_small(
         if flat.size == 0:
             break
         supports = flat.reshape(-1, s)
-        cols = M[:, supports].transpose(1, 0, 2)  # [support, n, s]
-        if AM is not None:
-            passed, est, margin = _screen(cols, AM[:, supports].transpose(1, 0, 2))
-            floor = max(floor, worst, float(np.max(est - margin, initial=-math.inf)))
-            pruned = passed[est + margin < floor]
+        if not details:
+            P, G = (_gather(gram, supports) for gram in grams)
+            pruned, floor = _screen(P, G, max(floor, worst))
             checked += pruned.size
-            cols = np.delete(cols, pruned, axis=0)
-            if len(cols) == 0:
-                continue
-        rank, smin2, smax2 = _subspace_extremes(cols, Adense, tol_factor)
-        kept = rank > 0
-        smin2, smax2 = smin2[kept], smax2[kept]
-        if smin2.size:
-            worst = max(worst, float(np.max(smax2 - 1.0)), float(np.max(1.0 - smin2)))
-        if extremes is not None:
-            extremes.extend(zip(smin2.tolist(), smax2.tolist()))
-        checked += smin2.size
+            supports = np.delete(supports, pruned, axis=0)
+        for start in range(0, len(supports), batch):
+            # [support, n, s]
+            cols = M[:, supports[start : start + batch]].transpose(1, 0, 2)
+            rank, smin2, smax2 = _subspace_extremes(cols, Adense, tol_factor)
+            kept = rank > 0
+            smin2, smax2 = smin2[kept], smax2[kept]
+            if smin2.size:
+                worst = max(
+                    worst, float(np.max(smax2 - 1.0)), float(np.max(1.0 - smin2))
+                )
+            if extremes is not None:
+                extremes.extend(zip(smin2.tolist(), smax2.tolist()))
+            checked += smin2.size
     return DripEstimate(
         s=s,
         delta_hat=worst,

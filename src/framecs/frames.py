@@ -146,20 +146,27 @@ def _zak_maps(g: np.ndarray, gnorm: float, a: int, q: int):
     ) / (gnorm * N)  # [w, rho, tau]
 
     # A block's columns ride along as a trailing axis, as on the GEMM path.
+    # Each 2-D DFT runs as numpy's fftn runs it, over tau and then over
+    # the first axis, the second pass in place.
     def apply(x: np.ndarray) -> np.ndarray:
         cols = x.shape[1:]
         # X[w, rho, tau] = sum_{beta, k1} x[beta, rho, k1] e^{2 pi i (w beta/N + k1 tau/q)}
-        X = np.fft.ifftn(x.reshape(N, R, q, *cols), axes=(0, 2), norm="forward")
+        X = np.fft.ifft(x.reshape(N, R, q, *cols), axis=2, norm="forward")
+        np.fft.ifft(X, axis=0, norm="forward", out=X)
         y = (H.reshape(N, R, q, *(1,) * len(cols)) * X).sum(axis=1)  # [w, tau]
         return np.fft.fft(y, axis=0).reshape(n, *cols)  # [alpha, tau]
 
     def adjoint(f: np.ndarray) -> np.ndarray:
         cols = f.shape[1:]
         F = np.fft.ifft(f.reshape(N, 1, q, *cols), axis=0, norm="forward")
-        # the inverse DFT over alpha and the forward one over w scale by N,
-        # which the 1/N in H cancels
-        Hc = H.conj().reshape(N, R, q, *(1,) * len(cols))
-        return np.fft.fftn(Hc * F, axes=(0, 2)).reshape(n * R, *cols)
+        # conj(H) F = conj(H conj(F)): the table is read as it is, never
+        # conjugated.  The inverse DFT over alpha and the forward one over
+        # w scale by N, which the 1/N in H cancels.
+        Y = H.reshape(N, R, q, *(1,) * len(cols)) * np.conjugate(F, out=F)
+        np.conjugate(Y, out=Y)
+        np.fft.fft(Y, axis=2, out=Y)
+        np.fft.fft(Y, axis=0, out=Y)
+        return Y.reshape(n * R, *cols)
 
     return apply, adjoint
 
@@ -315,14 +322,16 @@ def from_matrix(M: np.ndarray) -> Dictionary:
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     n, d = M.shape
-    tight = np.linalg.norm(M @ M.conj().T - np.eye(n), "fro") <= 1e-10 * math.sqrt(n)
     # D* f = conj(M^T conj(f)): BLAS reads M through its transposed view,
     # so no conjugated copy of the table is kept
     out = Dictionary(
-        n, d, lambda x: M @ x, lambda f: (M.T @ f.conj()).conj(),
-        kind="dense", tight=tight,
+        n, d, lambda x: M @ x, lambda f: (M.T @ f.conj()).conj(), kind="dense"
     )
     out._dense_cache = M
+    # M M* in column chunks (linops.gram), minus I in place
+    S = gram(out)
+    S.flat[:: n + 1] -= 1.0
+    out.tight = bool(np.linalg.norm(S, "fro") <= 1e-10 * math.sqrt(n))
     return out
 
 

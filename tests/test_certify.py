@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -396,6 +397,27 @@ def screen_instances(draw):
     return gaussian_sensing(m, n, seed=seed), from_matrix(M), s
 
 
+@st.composite
+def guarded_pencils(draw):
+    """Hermitian pencils (P, G), s <= 5, with lambda_min/lambda_max(P) >=
+    SCREEN_GUARD, as the screen's guard ensures, and G = c P + noise: far
+    from, near or at a multiple of P (sigma ~ 0, where sigma^2 = t2/s -
+    mu^2 cancels)."""
+    s = draw(st.integers(1, 5))
+    rng = make_rng(draw(st.integers(0, 2**32 - 1)), 2)
+    Z = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+    Q = np.linalg.qr(Z)[0]
+    p = 10.0 ** rng.uniform(-3.0, 0.0, s)
+    p[0] = 1.0
+    if draw(st.booleans()):
+        p[-1] = certify.SCREEN_GUARD
+    P = (Q * p) @ Q.conj().T * 10.0 ** draw(st.floats(-3.0, 2.0))
+    H = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+    noise = draw(st.sampled_from([0.0, 1e-14, 1e-10, 1e-6, 1.0]))
+    G = draw(st.floats(0.1, 10.0)) * (P + noise * np.linalg.norm(P) * H)
+    return (P + P.conj().T) / 2, (G + G.conj().T) / 2
+
+
 class TestDripExactScreen:
     """The screened enumeration (details=False) against every support's SVD."""
 
@@ -425,11 +447,63 @@ class TestDripExactScreen:
         ref = per_support_extremes(A, D, s)
         assert len(ref) == math.comb(32, s)
         # the module's budget, then 5 supports a chunk
-        for budget in (certify.BLOCK_BYTES, 5 * 16 * s * (2 * 16 + 12)):
+        for budget in (certify.BLOCK_BYTES, 5 * 128 * (s * s + 1)):
             monkeypatch.setattr(certify, "BLOCK_BYTES", budget)
             est = drip_exact_small(A, D, s)
             assert est.trials == len(ref)
             assert est.delta_hat == reference_delta(ref)
+
+    def test_certify_workload_values_are_pinned(self):
+        A, D = concat_instance()
+        got = [(est.delta_hat, est.trials)
+               for est in (drip_exact_small(A, D, s) for s in (1, 2, 3, 4))]
+        assert got == [
+            (0.7726285827710118, 32),
+            (1.5284279258776805, 496),
+            (2.0037139373616566, 4960),
+            (2.3883479873261897, 35960),
+        ]
+
+    def test_few_supports_reach_the_eigensolve(self, monkeypatch):
+        # the trace bounds prune all but a few supports before eigvalsh
+        sizes = []
+        inner = np.linalg.eigvalsh
+
+        def spy(a, *args, **kw):
+            sizes.append(len(a))
+            return inner(a, *args, **kw)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+        A, D = concat_instance()
+        est = drip_exact_small(A, D, 4)
+        assert est.trials == math.comb(32, 4)
+        assert 0 < sum(sizes) < 0.01 * math.comb(32, 4)
+
+    def test_one_atom_supports_form_no_gram_matrix(self):
+        # a d x d Gram would take 16 d^2 bytes (6.4 GB)
+        d = 20_000
+        rng = make_rng(23)
+        D = from_matrix(rng.standard_normal((4, d)) + 1j * rng.standard_normal((4, d)))
+        A = gaussian_sensing(3, 4, seed=5)
+        tracemalloc.start()
+        try:
+            est = drip_exact_small(A, D, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert est.trials == d
+        assert peak < 16 * d**2 / 1000, peak
+
+    @given(guarded_pencils())
+    @settings(max_examples=300, deadline=None)
+    def test_trace_bounds_hold_the_estimate(self, pencil):
+        # v lies within margin of est, so [lb - slack, ub + slack] must
+        # hold [est - margin, est + margin]
+        P, G = pencil
+        lb, ub, slack = certify._bracket(P[None], G[None])
+        est, margin = certify._estimate(P[None], G[None])
+        assert lb[0] - slack[0] <= est[0] - margin[0]
+        assert est[0] + margin[0] <= ub[0] + slack[0]
 
     def test_few_supports_reach_the_svds(self, monkeypatch):
         A, D = concat_instance()

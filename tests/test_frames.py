@@ -419,6 +419,19 @@ class TestFromMatrix:
         assert D.dense() is M
         assert retained < 0.05 * M.nbytes, retained / M.nbytes
 
+    def test_tightness_is_measured_in_column_chunks(self):
+        # M M* at once would hold a 16 MiB conjugated copy of M
+        rng = make_rng(42)
+        M = rng.standard_normal((256, 4096)) + 1j * rng.standard_normal((256, 4096))
+        tracemalloc.start()
+        try:
+            D = from_matrix(M)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert not D.tight
+        assert peak < 5 * 2**20, peak / 2**20
+
 
 class TestFrameBounds:
     def test_unitary(self):
@@ -528,7 +541,52 @@ def test_lattices_that_do_not_divide_are_rejected(lattice):
         build_gabor(n, 8.0, a, b)
 
 
+def zak_maps_before_in_place(g, gnorm, a, q):
+    """_zak_maps as first written: 2-D DFTs by ifftn/fftn and a D* that
+    conjugates the whole table on each call."""
+    n = g.size
+    N, R = n // q, q // a
+    gamma = q * np.arange(N)[:, None, None]
+    H = np.fft.ifft(
+        g[(gamma + np.arange(q) - a * np.arange(R)[:, None]) % n], axis=0, norm="forward"
+    ) / (gnorm * N)
+
+    def apply(x):
+        cols = x.shape[1:]
+        X = np.fft.ifftn(x.reshape(N, R, q, *cols), axes=(0, 2), norm="forward")
+        y = (H.reshape(N, R, q, *(1,) * len(cols)) * X).sum(axis=1)
+        return np.fft.fft(y, axis=0).reshape(n, *cols)
+
+    def adjoint(f):
+        cols = f.shape[1:]
+        F = np.fft.ifft(f.reshape(N, 1, q, *cols), axis=0, norm="forward")
+        Hc = H.conj().reshape(N, R, q, *(1,) * len(cols))
+        return np.fft.fftn(Hc * F, axes=(0, 2)).reshape(n * R, *cols)
+
+    return apply, adjoint
+
+
 class TestZakMaps:
+    @pytest.mark.parametrize("n, sigma, a, q", [
+        (8192, 16.0, 8, 64),  # fullsize
+        (8192, 72.2, 64, 512),
+        (2048, 16.0, 8, 64),
+        (1024, 16.0, 8, 64),  # radar
+        (45, math.inf, 3, 9),
+    ])
+    def test_in_place_maps_equal_the_ifftn_fftn_maps_bit_for_bit(self, n, sigma, a, q):
+        g = gabor_window(n, sigma)
+        gnorm = math.sqrt(float(np.sum(g**2)))
+        maps = _zak_maps(g, gnorm, a, q)
+        refs = zak_maps_before_in_place(g, gnorm, a, q)
+        rng = make_rng(34, n)
+        for fn, ref, dim in zip(maps, refs, (n * (q // a), n)):
+            for shape in ((dim,), (dim, 3)):
+                v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                kept = v.copy()
+                assert np.array_equal(fn(v), ref(v))
+                assert np.array_equal(v, kept)  # the operand is not written
+
     @given(dividing_lattices(), st.one_of(st.floats(0.5, 40.0), st.just(math.inf)))
     @settings(max_examples=40, deadline=None)
     def test_zak_maps_equal_the_gemm_maps(self, lattice, sigma):
