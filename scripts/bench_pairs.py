@@ -11,8 +11,12 @@ first when k is even, so neither side always runs on a warmer machine.
 Each run's last stdout line is its JSON result.  The script then prints
 one Markdown table with a row per workload and end-to-end metric: each
 side's median and quartiles, and in how many pairs the change read
-lower.  It exits 1 when any run exits nonzero, prints no result, is not
-``correct`` or reports a failed operation.
+lower.  For each workload and end-to-end metric of CHANGE's
+``BENCHMARK.json`` whose change median is worse than the parent median
+by more than the metric's ``bound`` (a fraction of the parent median),
+it prints one ``over bound:`` line on stderr.  It exits 1 when any run
+exits nonzero, prints no result, is not ``correct`` or reports a failed
+operation.
 
 Standard library only; nothing is written outside the two checkouts'
 own ``perfbench/out/``.
@@ -84,6 +88,35 @@ def rows(workload: str, pairs: list[tuple[dict, dict]]) -> list[str]:
     return out
 
 
+def bounds(checkout: Path) -> dict[str, dict]:
+    """The end-to-end metrics of the checkout's BENCHMARK.json by name
+    (none if it has no such file)."""
+    path = checkout / "BENCHMARK.json"
+    if not path.is_file():
+        return {}
+    return {m["name"]: m for m in json.loads(path.read_text())["end_to_end"]}
+
+
+def over_bound(
+    workload: str, pairs: list[tuple[dict, dict]], limits: dict[str, dict]
+) -> list[str]:
+    """One line per metric in ``limits`` whose change median is worse than
+    the parent median by more than its bound times the parent median."""
+    out = []
+    for name, limit in limits.items():
+        if name not in pairs[0][0]["metrics"]:
+            continue
+        parent = statistics.median(p["metrics"][name]["value"] for p, _ in pairs)
+        change = statistics.median(c["metrics"][name]["value"] for _, c in pairs)
+        worse = change - parent if limit["better"] == "lower" else parent - change
+        if worse > limit["bound"] * abs(parent):
+            out.append(
+                f"over bound: {workload} `{name}` change median {change:.4g} is worse "
+                f"than parent median {parent:.4g} by more than {limit['bound']:.0%}"
+            )
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", type=Path)
@@ -96,6 +129,7 @@ def main(argv=None) -> int:
     if args.pairs < 1:
         ap.error("--pairs must be >= 1")
 
+    limits = bounds(args.change)
     body, bad = [], 0
     for workload in args.workload.split(","):
         pairs = []
@@ -115,6 +149,8 @@ def main(argv=None) -> int:
                 pairs.append((got["parent"], got["change"]))
         if pairs:
             body += rows(workload, pairs)
+            for line in over_bound(workload, pairs, limits):
+                sys.stderr.write(line + "\n")
     if body:
         print("\n".join([HEADER, *body]))
     if bad:

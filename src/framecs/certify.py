@@ -6,12 +6,10 @@ a Monte-Carlo sampler (lower bound: sampling a supremum cannot
 overestimate it) and an exact small-instance oracle that enumerates every
 support and reads the extreme singular values of A restricted to the
 spanned subspace.  The oracle screens each chunk of supports first,
-from a support's two s x s Grams, read from D^H D and (AD)^H (AD).  A
-bound stage brackets each defect by the traces of P^-1 G (Wolkowicz and
-Styan) and prunes the supports whose upper bound lies below the best
-lower bound so far.  The few left get an eigensolve, whose estimate is
-far better than ``SCREEN_MARGIN``; only the supports whose estimate
-comes within two margins of the best one, and those the screen's
+from a support's two s x s Grams, read from D^H D and (AD)^H (AD): it
+brackets each defect by the traces of P^-1 G (Wolkowicz and Styan) and
+prunes the supports whose upper bound lies below the best lower bound
+or SVD value so far.  Only the supports left, and those the screen's
 conditioning guard rejects, go through the SVDs.  The result is bit for
 bit that of evaluating every support by SVD.
 
@@ -56,16 +54,18 @@ class EnumerationCapError(ValueError):
 
 
 # Screen of the exact enumeration: a support enters it when its Gram P
-# has det P > SCREEN_GUARD (tr P)^s, so lambda_min/lambda_max(P) >
-# SCREEN_GUARD; its estimate then differs from the SVD value by a few
+# has det P > SCREEN_GUARD u^s, where the Wolkowicz-Styan bound u =
+# mu + sigma sqrt(s-1) from tr P and ||P||_F (_guarded) bounds
+# lambda_max(P).  Then lambda_min >= det P / lambda_max^(s-1) >
+# SCREEN_GUARD u >= SCREEN_GUARD lambda_max at every s, and the
+# eigenvalues of the pencil (P, G) differ from the SVD values by a few
 # eps / SCREEN_GUARD times max(1, lambda_max) at most (8e-15 measured on
-# the benchmark's instances), far inside SCREEN_MARGIN times that scale.
+# the benchmark's instances).
 SCREEN_GUARD = 1e-3
-SCREEN_MARGIN = 1e-8
 # Slack of the trace bounds (_bracket), SCREEN_SLACK max(1, mu + sigma
 # sqrt(s-1)) a support, where the scale bounds lam_max.  It covers the
-# estimate's margin (SCREEN_MARGIN of the scale) and the bounds' own
-# rounding.  Under the guard the solve moves X by a few eps /
+# gap between the SVD value and the pencil's eigenvalues (above) and the
+# bounds' own rounding.  Under the guard the solve moves X by a few eps /
 # SCREEN_GUARD of the scale, which moves mu and sigma as little.  But
 # sigma^2 = t2/s - mu^2 cancels when sigma ~ 0: rounding t2 and mu^2 by a
 # few eps leaves an error e ~ 1e-16 of the scale squared, which moves
@@ -273,8 +273,8 @@ def _gather(gram: np.ndarray, supports: np.ndarray) -> np.ndarray:
 
 
 def _bracket(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Bounds lb <= est <= ub on the defect est = max(lam_max - 1,
-    1 - lam_min) of each stacked pencil (P[k], G[k]), and the slack that
+    """Bounds lb <= v <= ub on the defect v = max(lam_max - 1, 1 -
+    lam_min) of each stacked pencil (P[k], G[k]), and the slack that
     covers their rounding.
 
     The eigenvalues of X = P^-1 G are real, so with mu = Re tr X / s and
@@ -293,15 +293,19 @@ def _bracket(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.n
     return lb, ub, SCREEN_SLACK * np.maximum(1.0, mu + wide * sigma)
 
 
-def _estimate(P: np.ndarray, G: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Defect est = max(lam_max - 1, 1 - lam_min) over the eigenvalues of
-    L^-1 G L^-H, P = L L^H, of each stacked pencil, and the margin
-    SCREEN_MARGIN max(1, lam_max) that bounds its distance from the SVD
-    value."""
-    Linv = np.linalg.inv(np.linalg.cholesky(P))
-    lam = np.linalg.eigvalsh(Linv @ G @ Linv.conj().transpose(0, 2, 1))
-    est = np.maximum(lam[:, -1] - 1.0, 1.0 - lam[:, 0])
-    return est, SCREEN_MARGIN * np.maximum(1.0, lam[:, -1])
+def _guarded(P: np.ndarray) -> np.ndarray:
+    """Mask of the stacked Hermitian P[k], of positive trace, that pass
+    the conditioning guard det P > SCREEN_GUARD u^s, where u = mu + sigma
+    sqrt(s-1) (mu = tr P / s, sigma^2 = ||P||_F^2 / s - mu^2) bounds
+    lam_max(P) (Wolkowicz and Styan); a P that passes has lam_min /
+    lam_max > SCREEN_GUARD."""
+    s = P.shape[1]
+    # det P / u^s from P scaled to unit trace (mu = 1/s), where neither
+    # can overflow
+    unit = P / P.diagonal(axis1=1, axis2=2).real.sum(axis=1)[:, None, None]
+    fro2 = np.einsum("kij,kij->k", unit.conj(), unit).real
+    u = 1.0 / s + math.sqrt(s - 1) * np.sqrt(np.maximum(fro2 / s - 1.0 / s**2, 0.0))
+    return np.linalg.det(unit).real / u**s > SCREEN_GUARD
 
 
 def _screen(P: np.ndarray, G: np.ndarray, floor: float) -> tuple[np.ndarray, float]:
@@ -309,26 +313,18 @@ def _screen(P: np.ndarray, G: np.ndarray, floor: float) -> tuple[np.ndarray, flo
     G[k] of their images under A, whose defect lies below the raised
     floor, and that floor.
 
-    A support is screened when P and G are finite and det(P / tr P) >
-    SCREEN_GUARD.  The floor rises to the largest lb - slack (_bracket)
-    of a screened support; one whose ub + slack lies below it is pruned
-    there.  The others get est and margin (_estimate); the floor rises to
-    the largest est - margin, and those with est + margin below it are
-    pruned too."""
+    A support is screened when P and G are finite and P passes the
+    conditioning guard (_guarded).  The floor rises to the largest lb -
+    slack (_bracket) of a screened support, and those whose ub + slack
+    lies below it are pruned."""
     trace = P.diagonal(axis1=1, axis2=2).real.sum(axis=1)
     ok = np.flatnonzero(
         np.isfinite(P).all(axis=(1, 2)) & np.isfinite(G).all(axis=(1, 2)) & (trace > 0.0)
     )
-    # det of P scaled to unit trace, which cannot overflow
-    scaled_det = np.linalg.det(P[ok] / trace[ok, None, None]).real
-    passed = ok[scaled_det > SCREEN_GUARD]
+    passed = ok[_guarded(P[ok])]
     lb, ub, slack = _bracket(P[passed], G[passed])
     floor = max(floor, float(np.max(lb - slack, initial=-math.inf)))
-    near = ub + slack >= floor
-    close = passed[near]
-    est, margin = _estimate(P[close], G[close])
-    floor = max(floor, float(np.max(est - margin, initial=-math.inf)))
-    return np.concatenate([passed[~near], close[est + margin < floor]]), floor
+    return passed[ub + slack < floor], floor
 
 
 def drip_exact_small(
@@ -357,20 +353,18 @@ def drip_exact_small(
     (AD)^H (AD), formed once per call: 32 d^2 bytes, at most about 64 MB
     (s = 2, d = 1414 under the default cap); at s = 1 only their
     diagonals are formed.  A support that passes the conditioning guard
-    det P > SCREEN_GUARD (tr P)^s is full rank, and its v lies in
-    [lb - slack, ub + slack] from traces of P^-1 G (``_bracket``), with
-    no eigensolve.  With ``floor`` the largest lb - slack screened so
-    far, or the largest v already computed if that is higher, a support
-    with ub + slack < floor has v < floor, and is counted in ``trials``
-    and not evaluated.  The support that sets the floor is never pruned
-    and reaches the SVDs, where its v >= floor.  The remaining screened
-    supports get an eigenvalue estimate est with |est - v| < margin
-    (``_estimate``) and are pruned the same way against the floor raised
-    by est - margin.  Only the other supports, and every support the
-    guard rejects (zero, duplicated or near-dependent atoms, anything
-    non-finite), have their atoms gathered and go through the SVDs, so
-    ``delta_hat`` and ``trials`` are bit for bit those of evaluating
-    every support.  With ``details`` every support is.
+    det P > SCREEN_GUARD u^s (u >= lam_max(P), ``_guarded``) is full rank,
+    and its v lies in [lb - slack, ub + slack] from traces of P^-1 G
+    (``_bracket``), with no eigensolve.  With ``floor`` the largest lb -
+    slack screened so far, or the largest v already computed if that is
+    higher, a support with ub + slack < floor has v < floor, and is
+    counted in ``trials`` and not evaluated.  The support that sets the
+    floor is never pruned and reaches the SVDs, where its v >= floor.
+    Only the other supports, and every support the guard rejects (zero,
+    duplicated or near-dependent atoms, anything non-finite), have their
+    atoms gathered and go through the SVDs, so ``delta_hat`` and
+    ``trials`` are bit for bit those of evaluating every support.  With
+    ``details`` every support is.
     """
     if not (1 <= s <= D.d):
         raise ValueError(f"s must lie in [1, {D.d}]")

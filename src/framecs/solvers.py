@@ -408,12 +408,14 @@ def lemma_audit(
     """
     if s < 1:
         raise ValueError("s must be >= 1")
+    M = int(block_size) if block_size is not None else 6 * s
+    if M < 1:
+        raise ValueError("block_size must be >= 1")
     ft = f_true.samples if isinstance(f_true, Signal) else np.asarray(f_true, complex)
     fh = f_hat.samples if isinstance(f_hat, Signal) else np.asarray(f_hat, complex)
     h = ft - fh
     ch = D.adjoint(h)
     cf = D.adjoint(ft)
-    M = int(block_size) if block_size is not None else 6 * s
 
     order_f = np.argsort(-np.abs(cf), kind="stable")
     t0 = order_f[:s]

@@ -103,3 +103,55 @@ def test_main_runs_each_listed_workload_and_prints_one_table(monkeypatch, capsys
         ["| certify (1)", "`wall_s`"], ["| certify (1)", "`peak_rss_mb`"],
     ]
     assert "| radar (2) | `wall_s` | 2.00 s (2.00-2.00) | 1.00 s (1.00-1.00) | 2/2 |" in lines
+
+
+LIMITS = {
+    "setup_s": {"name": "setup_s", "better": "lower", "bound": 0.25},
+    "wall_s": {"name": "wall_s", "better": "lower", "bound": 0.25},
+    "peak_rss_mb": {"name": "peak_rss_mb", "better": "lower", "bound": 0.1},
+}
+
+
+def test_over_bound_flags_each_metric_worse_than_its_bound():
+    # medians: setup 3.0 -> 4.0 ms (+33 %), wall 1.1 -> 1.3 s (+18 %),
+    # rss 40.0 -> 44.5 MiB (+11 %)
+    pairs = [
+        (result(1.00, 0.0030, 40.0), result(1.20, 0.0040, 44.5)),
+        (result(1.10, 0.0030, 40.0), result(1.30, 0.0039, 44.6)),
+        (result(1.20, 0.0030, 40.0), result(1.40, 0.0041, 43.0)),
+    ]
+    assert bench_pairs.over_bound("certify", pairs, LIMITS) == [
+        "over bound: certify `setup_s` change median 0.004 is worse than parent "
+        "median 0.003 by more than 25%",
+        "over bound: certify `peak_rss_mb` change median 44.5 is worse than parent "
+        "median 40 by more than 10%",
+    ]
+    # the same medians are no regression where higher is better
+    higher = {name: dict(limit, better="higher") for name, limit in LIMITS.items()}
+    assert bench_pairs.over_bound("certify", pairs, higher) == []
+    # nor from the change's side: the parent is worse on every metric
+    swapped = [(c, p) for p, c in pairs]
+    assert bench_pairs.over_bound("certify", swapped, LIMITS) == []
+
+
+def test_main_reads_the_bounds_of_the_change_checkout(tmp_path, monkeypatch, capsys):
+    change = tmp_path / "change"
+    change.mkdir()
+    (change / "BENCHMARK.json").write_text(json.dumps({"end_to_end": list(LIMITS.values())}))
+
+    def run_once(checkout, workload, seed):
+        wall = {"parent": 1.0, "change": 2.0}[checkout.name]
+        return result(wall, 0.002, 40.0), ""
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    code = bench_pairs.main(
+        [str(tmp_path / "parent"), str(change), "--workload", "radar,noise", "--pairs", "2"]
+    )
+    assert code == 0
+    captured = capsys.readouterr()
+    assert len(captured.out.splitlines()) == 2 + 2 * 3
+    assert [line for line in captured.err.splitlines() if line.startswith("over bound:")] == [
+        f"over bound: {w} `wall_s` change median 2 is worse than parent median 1 "
+        "by more than 25%"
+        for w in ("radar", "noise")
+    ]

@@ -353,11 +353,22 @@ class TestDripExactChunks:
         )
 
 
-def concat_instance():
-    """The certify workload's identity + DFT instance at seed 1."""
+def concat_instance(seed=1):
+    """The certify workload's identity + DFT instance at ``seed``."""
     D = build_concat(build_identity(16), build_oversampled_dft(16, 1),
                      1 / math.sqrt(2))
-    return gaussian_sensing(12, 16, seed=split_seed(1, 1)), D
+    return gaussian_sensing(12, 16, seed=split_seed(seed, 1)), D
+
+
+# (delta_hat, trials) of the certify workload's exact calls, s = 1-4
+WORKLOAD_VALUES = {
+    1: [(0.7726285827710118, 32), (1.5284279258776805, 496),
+        (2.0037139373616566, 4960), (2.3883479873261897, 35960)],
+    2: [(1.1082297356034236, 32), (1.724702897018449, 496),
+        (1.9783752562454335, 4960), (2.1735100337808624, 35960)],
+    3: [(1.2017512278903606, 32), (1.4527662383331972, 496),
+        (1.7535973916579355, 4960), (2.0061289439208134, 35960)],
+}
 
 
 def reference_delta(ref):
@@ -380,10 +391,10 @@ def count_svd_supports(monkeypatch):
 @st.composite
 def screen_instances(draw):
     """Small from_matrix dictionaries with zero and near-duplicate atoms,
-    a Gaussian A and s <= 3."""
+    a Gaussian A and s <= 5."""
     n = draw(st.integers(1, 6))
     d = draw(st.integers(1, 9))
-    s = draw(st.integers(1, min(3, d)))
+    s = draw(st.integers(1, min(5, d)))
     m = draw(st.integers(1, 8))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = make_rng(seed, 1)
@@ -453,27 +464,16 @@ class TestDripExactScreen:
             assert est.trials == len(ref)
             assert est.delta_hat == reference_delta(ref)
 
-    def test_certify_workload_values_are_pinned(self):
-        A, D = concat_instance()
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_certify_workload_values_are_pinned(self, seed):
+        A, D = concat_instance(seed)
         got = [(est.delta_hat, est.trials)
                for est in (drip_exact_small(A, D, s) for s in (1, 2, 3, 4))]
-        assert got == [
-            (0.7726285827710118, 32),
-            (1.5284279258776805, 496),
-            (2.0037139373616566, 4960),
-            (2.3883479873261897, 35960),
-        ]
+        assert got == WORKLOAD_VALUES[seed]
 
-    def test_few_supports_reach_the_eigensolve(self, monkeypatch):
-        # the trace bounds prune all but a few supports before eigvalsh
-        sizes = []
-        inner = np.linalg.eigvalsh
-
-        def spy(a, *args, **kw):
-            sizes.append(len(a))
-            return inner(a, *args, **kw)
-
-        monkeypatch.setattr(np.linalg, "eigvalsh", spy)
+    def test_few_four_atom_supports_reach_the_svds(self, monkeypatch):
+        # the trace bounds prune all but a few supports before the SVDs
+        sizes = count_svd_supports(monkeypatch)
         A, D = concat_instance()
         est = drip_exact_small(A, D, 4)
         assert est.trials == math.comb(32, 4)
@@ -497,23 +497,49 @@ class TestDripExactScreen:
     @given(guarded_pencils())
     @settings(max_examples=300, deadline=None)
     def test_trace_bounds_hold_the_estimate(self, pencil):
-        # v lies within margin of est, so [lb - slack, ub + slack] must
-        # hold [est - margin, est + margin]
+        # the pencil's defect, from the eigenvalues of L^-1 G L^-H with
+        # P = L L^H, lies in [lb - slack, ub + slack]
         P, G = pencil
+        Linv = np.linalg.inv(np.linalg.cholesky(P))
+        lam = np.linalg.eigvalsh(Linv @ G @ Linv.conj().T)
+        v = max(lam[-1] - 1.0, 1.0 - lam[0])
         lb, ub, slack = certify._bracket(P[None], G[None])
-        est, margin = certify._estimate(P[None], G[None])
-        assert lb[0] - slack[0] <= est[0] - margin[0]
-        assert est[0] + margin[0] <= ub[0] + slack[0]
+        assert lb[0] - slack[0] <= v <= ub[0] + slack[0]
+
+    @given(st.integers(1, 8), st.integers(0, 2**32 - 1), st.floats(-5.0, 0.0))
+    @settings(max_examples=300, deadline=None)
+    def test_guard_bounds_the_condition_number(self, s, seed, low):
+        # Hermitian P > 0 with eigenvalues in [10^low, 1], the smallest at
+        # 10^low: the guard passes only lam_min/lam_max > SCREEN_GUARD, and
+        # it passes every P that det(P / tr P) > SCREEN_GUARD did
+        rng = make_rng(seed, 3)
+        Q = np.linalg.qr(rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s)))[0]
+        p = 10.0 ** rng.uniform(low, 0.0, s)
+        p[0] = 10.0**low
+        P = (Q * p) @ Q.conj().T
+        P = (P + P.conj().T) / 2
+        lam = np.linalg.eigvalsh(P)
+        passed = certify._guarded(P[None])[0]
+        if passed:
+            assert lam[0] > certify.SCREEN_GUARD * lam[-1]
+        if np.linalg.det(P / np.trace(P).real).real > certify.SCREEN_GUARD:
+            assert passed
+        if low > -0.1:
+            assert passed
 
     def test_few_supports_reach_the_svds(self, monkeypatch):
-        A, D = concat_instance()
+        # at s = 5 and up the guard must still admit well-conditioned P,
+        # whose det(P / tr P) cannot exceed s^-s
         sizes = count_svd_supports(monkeypatch)
-        screened = drip_exact_small(A, D, 3)
-        assert 0 < sum(sizes) < math.comb(32, 3)
-        sizes.clear()
-        full = drip_exact_small(A, D, 3, details=True)
-        assert sum(sizes) == math.comb(32, 3)
-        assert (screened.delta_hat, screened.trials) == (full.delta_hat, full.trials)
+        for (A, D), s in ((concat_instance(), 3), (pinned_instance(), 5)):
+            count = math.comb(D.d, s)
+            sizes.clear()
+            screened = drip_exact_small(A, D, s)
+            assert 0 < sum(sizes) < count / 2
+            sizes.clear()
+            full = drip_exact_small(A, D, s, details=True)
+            assert sum(sizes) == count
+            assert (screened.delta_hat, screened.trials) == (full.delta_hat, full.trials)
 
     def test_rejected_supports_reach_the_svds(self, monkeypatch):
         # the 7 pairs with the zero atom 5 and the pair (1, 3) of copies

@@ -412,6 +412,14 @@ class TestLemmaAudit:
             math.sqrt(s / M) * (np.linalg.norm(ch[t0]) + eta), rel=1e-12
         )
 
+    @pytest.mark.parametrize("block_size", [0, -2])
+    def test_block_size_below_one_is_rejected(self, block_size):
+        D = build_identity(8)
+        A = gaussian_sensing(4, 8, seed=1)
+        f = np.ones(8, complex)
+        with pytest.raises(ValueError, match="block_size must be >= 1"):
+            lemma_audit(A, D, f, f, eps=0.0, s=2, block_size=block_size)
+
 
 class TestEngineVsOracleTiny:
     def test_analysis_random_tight_frame(self):
