@@ -5,13 +5,15 @@ the union of subspaces spanned by any s dictionary atoms.  Two routes:
 a Monte-Carlo sampler (lower bound: sampling a supremum cannot
 overestimate it) and an exact small-instance oracle that enumerates every
 support and reads the extreme singular values of A restricted to the
-spanned subspace.  The oracle screens each chunk of supports first,
-from a support's two s x s Grams, read from D^H D and (AD)^H (AD): it
-brackets each defect by the traces of P^-1 G (Wolkowicz and Styan) and
-prunes the supports whose upper bound lies below the best lower bound
-or SVD value so far.  Only the supports left, and those the screen's
-conditioning guard rejects, go through the SVDs.  The result is bit for
-bit that of evaluating every support by SVD.
+spanned subspace.  The sampler skips a trial whose vector is 0, as the
+oracle skips a support of rank 0; neither counts it.  The oracle screens
+each chunk of supports first, from a support's two s x s Grams, read
+from D^H D and (AD)^H (AD): it brackets each defect by the traces of
+P^-1 G (Wolkowicz and Styan) and prunes the supports whose upper bound
+lies below the best lower bound or SVD value so far.  Only the supports
+left, and those the screen's conditioning guard rejects, go through the
+SVDs.  The result is bit for bit that of evaluating every support by
+SVD.
 
 Also here: the concentration check for sensing ensembles, the closed-form
 recovery-theorem constants K1/K2 -> C0/C1, and the end-to-end error-bound
@@ -22,14 +24,14 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .frames import Dictionary
 from .linops import BLOCK_BYTES  # sizes Monte Carlo blocks and enumeration chunks
-from .rng import make_rng, split_seed
+from .rng import make_rng
 from .sensing import SensingOperator
 from .signals import Signal, best_s_term
 
@@ -46,6 +48,7 @@ __all__ = [
     "verify_error_bound",
 ]
 
+# Most supports drip_exact_small enumerates; read at call time.
 ENUMERATION_CAP = 10**6
 
 
@@ -85,11 +88,8 @@ class DripEstimate:
     s: int
     delta_hat: float
     method: str  # "monte_carlo" | "exact_enumeration"
-    trials: int  # trials drawn, or supports checked
+    trials: int  # trials with v != 0, or supports of rank > 0
     seed: int | None = None
-    # per-trial ratios (monte carlo) or per-support (smin^2, smax^2) pairs
-    # (exact), kept only when details are requested
-    details: list | None = field(default=None, repr=False)
 
 
 @dataclass
@@ -148,24 +148,22 @@ def _draw_trials(
     return support, radius * np.exp(2j * np.pi * u[:, 2 * s : 3 * s])
 
 
-def _redraw(D: Dictionary, s: int, seed: int, t: int) -> np.ndarray:
-    """v = D_T x for trial t after its draw gave the measure-zero v = 0:
-    draws of one trial from the (split_seed(seed, MC_STREAM), t) stream
-    until v != 0."""
-    rng = make_rng(split_seed(seed, MC_STREAM), t)
-    for _ in range(64):
-        support, coef = _draw_trials(rng, 1, D.d, s)
-        x = np.zeros(D.d, dtype=complex)
-        x[support[0]] = coef[0]
-        v = D.apply(x)
-        if np.linalg.norm(v) > 0.0:
-            return v
-    raise ValueError("could not draw a nonzero atom combination")
-
-
 def _sq_norms(V: np.ndarray) -> np.ndarray:
     """Squared norm of each column of V."""
     return np.sum(V.real**2 + V.imag**2, axis=0)
+
+
+def _ratios(
+    A: SensingOperator, D: Dictionary, X: np.ndarray, count: int
+) -> np.ndarray:
+    """r = ||Av||^2/||v||^2 of each of the first ``count`` columns v of
+    V = D X that is not 0.  The norms run over the full-width block:
+    numpy sums a single column in a different order than the columns of
+    a wider array."""
+    V = D.apply(X)
+    v_sq = _sq_norms(V)[:count]
+    scored = v_sq > 0.0
+    return _sq_norms(A.apply(V))[:count][scored] / v_sq[scored]
 
 
 def drip_monte_carlo(
@@ -174,7 +172,6 @@ def drip_monte_carlo(
     s: int,
     trials: int,
     seed: int,
-    details: bool = False,
 ) -> DripEstimate:
     """Sampled lower bound on delta_s.
 
@@ -188,8 +185,9 @@ def drip_monte_carlo(
     r = floor(u*(j+1)), or j if r is already chosen.  The next 2s give
     the coefficients by Box-Muller, sqrt(-2 ln(1-u1)) exp(2 pi i u2),
     whose real and imaginary parts are iid N(0, 1).  A trial whose v is 0
-    (measure zero) is redrawn one trial at a time from the
-    (split_seed(seed, MC_STREAM), t) stream.
+    (measure zero for nonzero atoms) is skipped and not counted in
+    ``trials``, as drip_exact_small skips supports of rank 0; when no
+    trial scores, ``delta_hat`` is 0 and ``trials`` is 0.
 
     Uniforms are read for chunks of trials sized by ``BLOCK_BYTES``.  D
     and A are applied once per block of a fixed number of columns, set by
@@ -207,7 +205,7 @@ def drip_monte_carlo(
     chunk = width * max(1, BLOCK_BYTES // (32 * _words(s) * width))
     rng = make_rng(seed, MC_STREAM)
     worst = 0.0
-    ratios: list[float] | None = [] if details else None
+    scored = 0
     for start in range(0, trials, width):
         if start % chunk == 0:
             support, coef = _draw_trials(rng, min(chunk, trials - start), D.d, s)
@@ -215,26 +213,11 @@ def drip_monte_carlo(
         count = min(width, trials - start)
         X = np.zeros((D.d, width), dtype=complex)
         X[support[rows], np.arange(count)[:, None]] = coef[rows]
-        V = D.apply(X)
-        # Norms over the full-width block: numpy sums a single column in a
-        # different order than the columns of a wider array.
-        v_sq = _sq_norms(V)[:count]
-        redraw = np.flatnonzero(v_sq == 0.0)
-        if redraw.size:
-            for j in redraw:
-                V[:, j] = _redraw(D, s, seed, start + j)
-            v_sq = _sq_norms(V)[:count]
-        r = _sq_norms(A.apply(V))[:count] / v_sq
-        if ratios is not None:
-            ratios.extend(r.tolist())
-        worst = max(worst, float(np.max(np.abs(r - 1.0))))
+        r = _ratios(A, D, X, count)
+        scored += r.size
+        worst = max(worst, float(np.max(np.abs(r - 1.0), initial=0.0)))
     return DripEstimate(
-        s=s,
-        delta_hat=worst,
-        method="monte_carlo",
-        trials=trials,
-        seed=seed,
-        details=ratios,
+        s=s, delta_hat=worst, method="monte_carlo", trials=scored, seed=seed
     )
 
 
@@ -327,31 +310,26 @@ def _screen(P: np.ndarray, G: np.ndarray, floor: float) -> tuple[np.ndarray, flo
     return passed[ub + slack < floor], floor
 
 
-def drip_exact_small(
-    A: SensingOperator,
-    D: Dictionary,
-    s: int,
-    cap: int = ENUMERATION_CAP,
-    details: bool = False,
-) -> DripEstimate:
+def drip_exact_small(A: SensingOperator, D: Dictionary, s: int) -> DripEstimate:
     """Exact delta_s by enumerating every s-atom support.
 
     Each support's atoms are orthonormalized (the spanned subspace is
     what matters, so linearly dependent atom sets are fine); the extreme
     singular values of A restricted to that basis give the support's
     isometry defect v exactly.  Supports of rank 0 (only zero atoms) are
-    skipped.
+    skipped and not counted in ``trials``.  More than ``ENUMERATION_CAP``
+    supports raise ``EnumerationCapError``.
 
     Supports are taken in ``itertools.combinations`` order, in chunks
     sized by ``BLOCK_BYTES``; the SVDs run stacked (the second one per
     rank present), which LAPACK evaluates matrix by matrix exactly as it
     would one support at a time.
 
-    Without ``details`` only the largest v reaches the result, so each
-    chunk is screened first (``_screen``).  Each support's s x s Grams
-    P = D_T^H D_T and G = (A D_T)^H (A D_T) are read from D^H D and
+    Only the largest v reaches the result, so each chunk is screened
+    first (``_screen``).  Each support's s x s Grams P = D_T^H D_T and
+    G = (A D_T)^H (A D_T) are read from D^H D and
     (AD)^H (AD), formed once per call: 32 d^2 bytes, at most about 64 MB
-    (s = 2, d = 1414 under the default cap); at s = 1 only their
+    (s = 2, d = 1414 under ENUMERATION_CAP); at s = 1 only their
     diagonals are formed.  A support that passes the conditioning guard
     det P > SCREEN_GUARD u^s (u >= lam_max(P), ``_guarded``) is full rank,
     and its v lies in [lb - slack, ub + slack] from traces of P^-1 G
@@ -363,26 +341,24 @@ def drip_exact_small(
     Only the other supports, and every support the guard rejects (zero,
     duplicated or near-dependent atoms, anything non-finite), have their
     atoms gathered and go through the SVDs, so ``delta_hat`` and
-    ``trials`` are bit for bit those of evaluating every support.  With
-    ``details`` every support is.
+    ``trials`` are bit for bit those of evaluating every support.
     """
     if not (1 <= s <= D.d):
         raise ValueError(f"s must lie in [1, {D.d}]")
     count = math.comb(D.d, s)
-    if count > cap:
+    if count > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"C({D.d},{s}) = {count} supports exceed the enumeration cap "
-            f"({cap}); use drip_monte_carlo instead"
+            f"({ENUMERATION_CAP}); use drip_monte_carlo instead"
         )
     M = D.dense()
     Adense = A.dense()
-    if not details:
-        AM = Adense @ M
-        # D^H D and (AD)^H (AD), or at s = 1 only their diagonals
-        if s == 1:
-            grams = (_sq_norms(M), _sq_norms(AM))
-        else:
-            grams = (M.conj().T @ M, AM.conj().T @ AM)
+    AM = Adense @ M
+    # D^H D and (AD)^H (AD), or at s = 1 only their diagonals
+    if s == 1:
+        grams = (_sq_norms(M), _sq_norms(AM))
+    else:
+        grams = (M.conj().T @ M, AM.conj().T @ AM)
     # the screen holds about eight s x s complex matrices and sixteen
     # scalars a support; the SVDs its atoms, their left singular vectors
     # and their images
@@ -392,7 +368,6 @@ def drip_exact_small(
     combos = itertools.combinations(range(D.d), s)
     worst = 0.0
     floor = -math.inf
-    extremes: list[tuple[float, float]] | None = [] if details else None
     checked = 0
     while True:
         flat = np.fromiter(
@@ -401,11 +376,10 @@ def drip_exact_small(
         if flat.size == 0:
             break
         supports = flat.reshape(-1, s)
-        if not details:
-            P, G = (_gather(gram, supports) for gram in grams)
-            pruned, floor = _screen(P, G, max(floor, worst))
-            checked += pruned.size
-            supports = np.delete(supports, pruned, axis=0)
+        P, G = (_gather(gram, supports) for gram in grams)
+        pruned, floor = _screen(P, G, max(floor, worst))
+        checked += pruned.size
+        supports = np.delete(supports, pruned, axis=0)
         for start in range(0, len(supports), batch):
             # [support, n, s]
             cols = M[:, supports[start : start + batch]].transpose(1, 0, 2)
@@ -416,15 +390,9 @@ def drip_exact_small(
                 worst = max(
                     worst, float(np.max(smax2 - 1.0)), float(np.max(1.0 - smin2))
                 )
-            if extremes is not None:
-                extremes.extend(zip(smin2.tolist(), smax2.tolist()))
             checked += smin2.size
     return DripEstimate(
-        s=s,
-        delta_hat=worst,
-        method="exact_enumeration",
-        trials=checked,
-        details=extremes,
+        s=s, delta_hat=worst, method="exact_enumeration", trials=checked
     )
 
 

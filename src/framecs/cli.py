@@ -80,7 +80,6 @@ class ExperimentConfig:
     n: int = 256
     m: int = 100
     oversampling: int = 4
-    s: int = 25
     sigmas: tuple[float, ...] = (0.02, 0.05, 0.1, 0.15, 0.25)
     trials: int = 5
     rw_iters: int = 3
@@ -496,7 +495,6 @@ _EXPERIMENTS: dict[str, tuple[Callable[..., list[Path]], dict]] = {
             "n": 1024,
             "m": 120,
             "oversampling": 8,
-            "s": 40,
             "sigmas": (0.0,),
             "trials": 10,
             "gabor_sigma": 16.0,
@@ -517,7 +515,6 @@ _EXPERIMENTS: dict[str, tuple[Callable[..., list[Path]], dict]] = {
             "signal": "dirac",
             "sigmas": (0.0,),
             "trials": 10,
-            "s": 16,
             "max_iter": 20000,
             "over_relaxation": 1.8,
             "tol_rel": 1e-6,
@@ -549,7 +546,6 @@ _EXPERIMENTS: dict[str, tuple[Callable[..., list[Path]], dict]] = {
             "signal": "compressible",
             "sigmas": (0.0,),
             "trials": 5,
-            "s": 16,
             "max_iter": 8000,
         },
     ),
@@ -568,7 +564,7 @@ def cmd_experiment(args) -> int:
             base = replace(base, experiment=args.name)
     overrides = {}
     for key in (
-        "n", "m", "trials", "seed", "rw_iters", "s", "max_iter", "oversampling",
+        "n", "m", "trials", "seed", "rw_iters", "max_iter", "oversampling",
     ):
         v = getattr(args, key, None)
         if v is not None:
@@ -699,7 +695,6 @@ def build_parser() -> _Parser:
     exp.add_argument("--trials", type=int, default=None)
     exp.add_argument("--seed", type=int, default=None)
     exp.add_argument("--rw-iters", dest="rw_iters", type=int, default=None)
-    exp.add_argument("--s", type=int, default=None)
     exp.add_argument("--sigmas", default=None, help="comma-separated levels")
     exp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     exp.add_argument("--oversampling", type=int, default=None)

@@ -291,8 +291,8 @@ def build_concat(D1: Dictionary, D2: Dictionary, scale: float = 1.0) -> Dictiona
     """
     if D1.n != D2.n:
         raise ValueError(f"signal dimensions differ: {D1.n} vs {D2.n}")
-    if scale <= 0:
-        raise ValueError("scale must be positive")
+    if not (math.isfinite(scale) and scale > 0):
+        raise ValueError(f"scale must be positive and finite, got {scale!r}")
     n = D1.n
     d1, d2 = D1.d, D2.d
 
@@ -335,26 +335,30 @@ def from_matrix(M: np.ndarray) -> Dictionary:
     return out
 
 
-def frame_bounds(D: Dictionary, dense_limit: int = 4096) -> tuple[float, float]:
+# Largest n whose frame bounds come from a dense eigensolve; read at call
+# time.
+DENSE_BOUNDS_LIMIT = 4096
+
+
+def frame_bounds(D: Dictionary) -> tuple[float, float]:
     """Frame bounds (A, B) = extreme eigenvalues of D D*.
 
-    Up to ``dense_limit``, a dense Hermitian eigensolve of S = D D* from
-    ``linops.gram``: blocks of identity columns through D* and then D, or
-    chunked products of D's matrix when D stores one; memory is one n x n
-    complex S, never the n x d D.  Beyond that, power iteration on the
-    frame operator and on B*I - D D*, at most 500 steps each.  The step
-    cap can bind: on the frame of build_gabor(256, 8.0, 8, 1/32) the power
-    branch lands within 6e-5 (A) and 8e-5 (B) relative of the dense
-    eigenvalues.
+    Up to n = ``DENSE_BOUNDS_LIMIT``, a dense Hermitian eigensolve of
+    S = D D* from ``linops.gram``: blocks of identity columns through D*
+    and then D, or chunked products of D's matrix when D stores one;
+    memory is one n x n complex S, never the n x d D.  Beyond that, power
+    iteration on the frame operator and on B*I - D D*, at most 500 steps
+    each.  The step cap can bind: on the frame of build_gabor(256, 8.0,
+    8, 1/32) the power branch lands within 6e-5 (A) and 8e-5 (B) relative
+    of the dense eigenvalues.
 
-    Exact bounds stored at construction (build_gabor's) answer every
-    ``dense_limit``.  Otherwise the bounds are computed afresh on each
-    call and nothing is stored on D, so no result depends on which calls
-    ran on D before.
+    Exact bounds stored at construction (build_gabor's) answer at every
+    n.  Otherwise the bounds are computed afresh on each call and nothing
+    is stored on D, so no result depends on which calls ran on D before.
     """
     if D._bounds_cache is not None:
         return D._bounds_cache
-    if D.n <= dense_limit:
+    if D.n <= DENSE_BOUNDS_LIMIT:
         eig = np.linalg.eigvalsh(gram(D))
         A, B = float(eig[0]), float(eig[-1])
     else:

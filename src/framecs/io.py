@@ -35,23 +35,38 @@ def signal_to_csv(sig: Signal) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _sample(lineno: int, line: str) -> complex:
+    """The sample of a data row "re,im"; a ValueError names the row."""
+    parts = line.split(",")
+    try:
+        if len(parts) == 2:
+            return complex(float(parts[0]), float(parts[1]))
+    except ValueError:
+        pass
+    raise ValueError(f"line {lineno}: expected 're,im' (two floats), got {line.strip()!r}")
+
+
 def signal_from_csv(text: str) -> Signal:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
+    lines = [(i, ln) for i, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("#"):
         raise ValueError("missing '# n=... sample_rate=...' header")
+    header_no, header_line = lines[0]
     header = dict(
-        part.split("=", 1) for part in lines[0].lstrip("# ").split() if "=" in part
+        part.split("=", 1) for part in header_line.lstrip("# ").split() if "=" in part
     )
     if "n" not in header:
         raise ValueError("signal header is missing the key 'n' ('# n=<len> ...')")
-    rate = None if header.get("sample_rate") in (None, "none") else float(
-        header["sample_rate"]
-    )
-    samples = []
-    for ln in lines[1:]:
-        re_s, im_s = ln.split(",")
-        samples.append(complex(float(re_s), float(im_s)))
-    n = int(header["n"])
+    try:
+        n = int(header["n"])
+        rate = None if header.get("sample_rate") in (None, "none") else float(
+            header["sample_rate"]
+        )
+    except ValueError:
+        raise ValueError(
+            f"line {header_no}: expected '# n=<int> sample_rate=<float>|none', "
+            f"got {header_line.strip()!r}"
+        ) from None
+    samples = [_sample(i, ln) for i, ln in lines[1:]]
     if len(samples) != n:
         raise ValueError(f"header says n={n} but found {len(samples)} samples")
     return Signal(np.asarray(samples), sample_rate=rate)

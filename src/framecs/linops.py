@@ -49,7 +49,7 @@ __all__ = [
     "power_iteration",
 ]
 
-# Dense export refuses above this many entries unless the caller raises it.
+# Dense export refuses above this many entries; read at call time.
 MATERIALIZATION_CAP = 2**24
 # Working-set budget of one block of vectors: a block of k columns of
 # complex128 length-dim vectors takes 16 * dim * k bytes.  Speed is flat
@@ -120,21 +120,22 @@ class LinearOperator:
     def shape(self) -> tuple[int, int]:
         return (self.out_dim, self.in_dim)
 
-    def dense(self, cap: int = MATERIALIZATION_CAP) -> np.ndarray:
+    def dense(self) -> np.ndarray:
         """The out_dim x in_dim matrix: the stored one, in its own dtype,
         or else complex, materialized by applying to the basis on the
         first call and returned again on later ones.
 
-        Refuses to materialize when out_dim*in_dim exceeds `cap`, whether
-        or not an earlier call materialized; structured operators remain
-        usable through apply/adjoint regardless.
+        Refuses to materialize when out_dim*in_dim exceeds
+        ``MATERIALIZATION_CAP``, whether or not an earlier call
+        materialized; structured operators remain usable through
+        apply/adjoint regardless.
         """
         if self._dense_cache is not None:
             return self._dense_cache
-        if self.out_dim * self.in_dim > cap:
+        if self.out_dim * self.in_dim > MATERIALIZATION_CAP:
             raise ValueError(
                 f"dense materialization of {self.out_dim}x{self.in_dim} exceeds "
-                f"cap of {cap} entries"
+                f"cap of {MATERIALIZATION_CAP} entries"
             )
         if self._materialized is not None:
             return self._materialized

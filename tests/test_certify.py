@@ -81,17 +81,20 @@ class TestDripMonteCarlo:
         big = drip_monte_carlo(A, D, s=2, trials=200, seed=5)
         assert big.delta_hat >= a.delta_hat  # max over a superset of trials
 
-    def test_ratio_scale_covariance(self):
+    def test_ratio_scale_covariance(self, monkeypatch):
         A, D = pinned_instance()
-        est1 = drip_monte_carlo(A, D, s=2, trials=50, seed=9, details=True)
+        ratios = spy_ratios(monkeypatch)
+        drip_monte_carlo(A, D, s=2, trials=50, seed=9)
+        base = list(ratios)
         A2 = gaussian_sensing(6, 8, seed=7)  # same matrix, then scaled
         scaled = SensingOperator(
             6, 8, lambda v: 2.0 * A2.apply(v), lambda y: 2.0 * A2.adjoint(y),
             "dense", 7, False,
         )
-        est2 = drip_monte_carlo(scaled, D, s=2, trials=50, seed=9, details=True)
-        assert np.allclose(np.asarray(est2.details),
-                           4.0 * np.asarray(est1.details), rtol=1e-12)
+        ratios.clear()
+        drip_monte_carlo(scaled, D, s=2, trials=50, seed=9)
+        assert len(base) == 50
+        assert np.allclose(ratios, 4.0 * np.asarray(base), rtol=1e-12)
 
     def test_validation(self):
         A, D = pinned_instance()
@@ -125,14 +128,15 @@ class TestDripExact:
         deltas = [drip_exact_small(A, D, s).delta_hat for s in (1, 2, 3)]
         assert deltas[0] <= deltas[1] <= deltas[2]
 
-    def test_enumeration_cap(self):
+    def test_enumeration_cap(self, monkeypatch):
         A, D = pinned_instance()
+        monkeypatch.setattr(certify, "ENUMERATION_CAP", 1000)
         with pytest.raises(ValueError, match="monte_carlo"):
-            drip_exact_small(A, D, s=8, cap=1000)
+            drip_exact_small(A, D, s=8)
 
-    def test_scale_covariance_via_details(self):
+    def test_scale_covariance_via_per_support_reference(self):
         A, D = pinned_instance()
-        base = drip_exact_small(A, D, s=2, details=True)
+        base = per_support_extremes(A, D, 2)
         alpha = 2.0
         scaled_op = SensingOperator(
             6, 8, lambda v: alpha * A.apply(v), lambda y: alpha * A.adjoint(y),
@@ -141,7 +145,7 @@ class TestDripExact:
         scaled = drip_exact_small(scaled_op, D, s=2)
         expected = max(
             max(alpha**2 * smax - 1.0, 1.0 - alpha**2 * smin)
-            for smin, smax in base.details
+            for smin, smax in base
         )
         assert scaled.delta_hat == pytest.approx(expected, rel=1e-10)
 
@@ -159,31 +163,42 @@ def per_trial_ratios(A, D, s, trials, seed):
     """Monte Carlo ratios one trial at a time under the draw contract:
     trial t reads K = 4*ceil(3s/4) uniforms after advance(t*K//4) on the
     (seed, MC_STREAM) stream, takes its support by Floyd's algorithm and
-    its coefficients by Box-Muller, and redraws v = 0 from the
-    (split_seed(seed, MC_STREAM), t) stream; also how many trials needed
-    a redraw."""
+    its coefficients by Box-Muller, and is skipped when v = 0; also how
+    many trials were skipped."""
     K = 4 * math.ceil(3 * s / 4)
-    ratios, redrawn = [], 0
+    ratios, skipped = [], 0
     for t in range(trials):
         rng = make_rng(seed, certify.MC_STREAM)
         rng.bit_generator.advance(t * K // 4)
-        for draw in range(64):
-            if draw == 1:
-                rng = make_rng(split_seed(seed, certify.MC_STREAM), t)
-            u = rng.random(K)
-            support = []
-            for i, j in enumerate(range(D.d - s, D.d)):
-                r = math.floor(u[i] * (j + 1))
-                support.append(j if r in support else r)
-            x = np.zeros(D.d, dtype=complex)
-            for k, u1, u2 in zip(support, u[s:2 * s], u[2 * s:3 * s]):
-                x[k] = cmath.rect(math.sqrt(-2.0 * math.log1p(-u1)), 2.0 * math.pi * u2)
-            v = D.apply(x)
-            if np.linalg.norm(v) > 0.0:
-                break
-        redrawn += draw > 0
+        u = rng.random(K)
+        support = []
+        for i, j in enumerate(range(D.d - s, D.d)):
+            r = math.floor(u[i] * (j + 1))
+            support.append(j if r in support else r)
+        x = np.zeros(D.d, dtype=complex)
+        for k, u1, u2 in zip(support, u[s:2 * s], u[2 * s:3 * s]):
+            x[k] = cmath.rect(math.sqrt(-2.0 * math.log1p(-u1)), 2.0 * math.pi * u2)
+        v = D.apply(x)
+        if np.linalg.norm(v) == 0.0:
+            skipped += 1
+            continue
         ratios.append(np.linalg.norm(A.apply(v)) ** 2 / np.linalg.norm(v) ** 2)
-    return np.array(ratios), redrawn
+    return np.array(ratios), skipped
+
+
+def spy_ratios(monkeypatch):
+    """Spy on the Monte Carlo's scoring: a list that collects the ratio of
+    each trial with v != 0, in trial order."""
+    ratios = []
+    inner = certify._ratios
+
+    def spy(*args):
+        r = inner(*args)
+        ratios.extend(r.tolist())
+        return r
+
+    monkeypatch.setattr(certify, "_ratios", spy)
+    return ratios
 
 
 def per_support_extremes(A, D, s):
@@ -202,6 +217,27 @@ def per_support_extremes(A, D, s):
     return out
 
 
+def unscreened_extremes(A, D, s):
+    """(smin^2, smax^2) of each support of nonzero rank, in
+    itertools.combinations order, from drip_exact_small's SVD stage with
+    a screen that prunes nothing."""
+    seen = []
+    inner = certify._subspace_extremes
+
+    def spy(cols, *args):
+        rank, smin2, smax2 = inner(cols, *args)
+        kept = rank > 0
+        seen.extend(zip(smin2[kept].tolist(), smax2[kept].tolist()))
+        return rank, smin2, smax2
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(certify, "_subspace_extremes", spy)
+        patch.setattr(certify, "_screen",
+                      lambda P, G, floor: (np.empty(0, dtype=np.intp), floor))
+        drip_exact_small(A, D, s)
+    return seen
+
+
 def degenerate_dictionary():
     """6 x 8 frame whose atom 3 repeats atom 1 and whose atom 5 is zero."""
     M = make_rng(21).standard_normal((6, 8)) + 0j
@@ -217,41 +253,50 @@ class TestDripMonteCarloBlocks:
         if budget is not None:
             monkeypatch.setattr(certify, "BLOCK_BYTES", budget)
         A, D = pinned_instance()
-        est = drip_monte_carlo(A, D, s=2, trials=10, seed=5, details=True)
+        ratios = spy_ratios(monkeypatch)
+        est = drip_monte_carlo(A, D, s=2, trials=10, seed=5)
         ref, _ = per_trial_ratios(A, D, 2, 10, 5)
-        assert np.allclose(est.details, ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(ratios, ref, rtol=1e-12, atol=0.0)
         assert est.delta_hat == pytest.approx(np.max(np.abs(ref - 1.0)), rel=1e-12)
         assert est.trials == 10
 
-    def test_gabor_matches_per_trial_reference(self):
+    def test_gabor_matches_per_trial_reference(self, monkeypatch):
         D = build_gabor(64, 8.0, 8, 1 / 32)
         A = gaussian_sensing(32, 64, seed=1)
-        est = drip_monte_carlo(A, D, s=4, trials=300, seed=1, details=True)
+        ratios = spy_ratios(monkeypatch)
+        est = drip_monte_carlo(A, D, s=4, trials=300, seed=1)
         ref, _ = per_trial_ratios(A, D, 4, 300, 1)
-        assert np.allclose(est.details, ref, rtol=1e-12, atol=0.0)
+        assert np.allclose(ratios, ref, rtol=1e-12, atol=0.0)
+        assert est.delta_hat == max(abs(r - 1.0) for r in ratios)
 
     def test_ratio_does_not_depend_on_block_position(self, monkeypatch):
         # 4 trials per block: each run ends on a block of 1 to 4 trials
         D = build_gabor(64, 8.0, 8, 1 / 32)
         A = gaussian_sensing(32, 64, seed=1)
         monkeypatch.setattr(certify, "BLOCK_BYTES", 4 * 16 * (256 + 64 + 32))
-        full = drip_monte_carlo(A, D, s=4, trials=12, seed=8, details=True)
+        ratios = spy_ratios(monkeypatch)
+        drip_monte_carlo(A, D, s=4, trials=12, seed=8)
+        full = list(ratios)
         for trials in range(1, 12):
-            part = drip_monte_carlo(A, D, s=4, trials=trials, seed=8, details=True)
-            assert part.details == full.details[:trials]
+            ratios.clear()
+            drip_monte_carlo(A, D, s=4, trials=trials, seed=8)
+            assert ratios == full[:trials]
 
     def test_ratios_do_not_depend_on_the_block_budget(self, monkeypatch):
         # the module's budget, then 4 and 1 trials per block (and per chunk
         # of draws at the smallest budget)
         D = build_gabor(64, 8.0, 8, 1 / 32)
         A = gaussian_sensing(32, 64, seed=1)
+        ratios = spy_ratios(monkeypatch)
         runs = []
         for budget in (None, 4 * 16 * (256 + 64 + 32), 1):
             if budget is not None:
                 monkeypatch.setattr(certify, "BLOCK_BYTES", budget)
-            runs.append(drip_monte_carlo(A, D, s=4, trials=50, seed=2, details=True))
-        for est in runs[1:]:
-            assert np.allclose(est.details, runs[0].details, rtol=1e-12, atol=0.0)
+            ratios.clear()
+            drip_monte_carlo(A, D, s=4, trials=50, seed=2)
+            runs.append(list(ratios))
+        for run in runs[1:]:
+            assert np.allclose(run, runs[0], rtol=1e-12, atol=0.0)
 
     def test_trial_zero_reads_other_words_than_gaussian_sensing(self, monkeypatch):
         # the Monte Carlo and the sensing matrix take the same seed in the
@@ -268,14 +313,27 @@ class TestDripMonteCarloBlocks:
         assert keys["sensing"] and keys["certify"]
         assert not set(keys["sensing"]) & set(keys["certify"])
 
-    def test_zero_atom_forces_the_redraw_path(self):
+    def test_zero_v_trials_are_skipped(self, monkeypatch):
+        # trials that draw the zero atom 5 score nothing and are not counted,
+        # as drip_exact_small skips supports of rank 0
         D = degenerate_dictionary()
         A = gaussian_sensing(4, 6, seed=2)
-        est = drip_monte_carlo(A, D, s=1, trials=40, seed=3, details=True)
-        ref, redrawn = per_trial_ratios(A, D, 1, 40, 3)
-        assert redrawn > 0
-        assert np.allclose(est.details, ref, rtol=1e-12, atol=0.0)
+        ratios = spy_ratios(monkeypatch)
+        est = drip_monte_carlo(A, D, s=1, trials=40, seed=3)
+        ref, skipped = per_trial_ratios(A, D, 1, 40, 3)
+        assert skipped > 0
+        assert est.trials == 40 - skipped == len(ratios)
+        assert np.allclose(ratios, ref, rtol=1e-12, atol=0.0)
         assert est.delta_hat == pytest.approx(np.max(np.abs(ref - 1.0)), rel=1e-12)
+
+    @pytest.mark.parametrize("s", [1, 2, 3])
+    def test_zero_dictionary_scores_no_trial(self, s):
+        # every v is 0: both estimators report (0.0, 0), and nothing raises
+        D = from_matrix(np.zeros((4, 6), dtype=complex))
+        A = gaussian_sensing(3, 4, seed=1)
+        mc = drip_monte_carlo(A, D, s, trials=10, seed=1)
+        exact = drip_exact_small(A, D, s)
+        assert (mc.delta_hat, mc.trials) == (exact.delta_hat, exact.trials) == (0.0, 0)
 
 
 class TestDripSampler:
@@ -313,11 +371,11 @@ class TestDripExactChunks:
         A = gaussian_sensing(4, 6, seed=2)
         if chunk is not None:
             monkeypatch.setattr(certify, "BLOCK_BYTES", chunk * 16 * s * (2 * 6 + 4))
-        est = drip_exact_small(A, D, s, details=True)
         ref = per_support_extremes(A, D, s)
+        est = drip_exact_small(A, D, s)
         assert est.trials == len(ref)
-        assert est.details == ref
-        assert est.delta_hat == max(max(hi - 1.0, 1.0 - lo) for lo, hi in ref)
+        assert est.delta_hat == reference_delta(ref)
+        assert unscreened_extremes(A, D, s) == ref
 
     def test_zero_atom_support_is_skipped(self):
         D = degenerate_dictionary()
@@ -328,11 +386,11 @@ class TestDripExactChunks:
     def test_pinned_instance_matches_per_support_reference(self, monkeypatch, s):
         monkeypatch.setattr(certify, "BLOCK_BYTES", 7 * 16 * s * (2 * 8 + 6))
         A, D = pinned_instance()
-        est = drip_exact_small(A, D, s, details=True)
+        est = drip_exact_small(A, D, s)
         ref = per_support_extremes(A, D, s)
         assert est.trials == len(ref) == math.comb(16, s)
-        assert est.details == ref
-        assert est.delta_hat == max(max(hi - 1.0, 1.0 - lo) for lo, hi in ref)
+        assert est.delta_hat == reference_delta(ref)
+        assert unscreened_extremes(A, D, s) == ref
 
     def test_certify_workload_instance_bit_for_bit(self):
         # the benchmark's identity + DFT instance; one of its 496 supports
@@ -340,13 +398,13 @@ class TestDripExactChunks:
         D = build_concat(build_identity(16), build_oversampled_dft(16, 1),
                          1 / math.sqrt(2))
         A = gaussian_sensing(12, 16, seed=split_seed(1, 1))
-        est = drip_exact_small(A, D, 2, details=True)
-        assert est.details == per_support_extremes(A, D, 2)
+        assert unscreened_extremes(A, D, 2) == per_support_extremes(A, D, 2)
 
-    def test_enumeration_cap_message(self):
+    def test_enumeration_cap_message(self, monkeypatch):
         A, D = pinned_instance()
+        monkeypatch.setattr(certify, "ENUMERATION_CAP", 1000)
         with pytest.raises(ValueError) as err:
-            drip_exact_small(A, D, s=8, cap=1000)
+            drip_exact_small(A, D, s=8)
         assert str(err.value) == (
             "C(16,8) = 12870 supports exceed the enumeration cap (1000); "
             "use drip_monte_carlo instead"
@@ -430,7 +488,7 @@ def guarded_pencils(draw):
 
 
 class TestDripExactScreen:
-    """The screened enumeration (details=False) against every support's SVD."""
+    """The screened enumeration against every support's SVD."""
 
     @pytest.mark.parametrize("case, s", [
         ("pinned", 1), ("pinned", 2), ("pinned", 3),
@@ -536,10 +594,8 @@ class TestDripExactScreen:
             sizes.clear()
             screened = drip_exact_small(A, D, s)
             assert 0 < sum(sizes) < count / 2
-            sizes.clear()
-            full = drip_exact_small(A, D, s, details=True)
-            assert sum(sizes) == count
-            assert (screened.delta_hat, screened.trials) == (full.delta_hat, full.trials)
+            ref = per_support_extremes(A, D, s)
+            assert (screened.delta_hat, screened.trials) == (reference_delta(ref), len(ref))
 
     def test_rejected_supports_reach_the_svds(self, monkeypatch):
         # the 7 pairs with the zero atom 5 and the pair (1, 3) of copies
@@ -553,11 +609,14 @@ class TestDripExactScreen:
     @given(screen_instances())
     @settings(max_examples=60, deadline=None)
     def test_screen_matches_the_full_enumeration(self, instance):
+        # against the SVD stage on every support, not per_support_extremes:
+        # at m = 1 the reference's masked basis can round A times it
+        # differently in the last bit
         A, D, s = instance
         screened = drip_exact_small(A, D, s)
-        full = drip_exact_small(A, D, s, details=True)
-        assert screened.delta_hat == full.delta_hat
-        assert screened.trials == full.trials
+        full = unscreened_extremes(A, D, s)
+        assert screened.delta_hat == (reference_delta(full) if full else 0.0)
+        assert screened.trials == len(full)
 
 
 class TestConcentration:

@@ -1,5 +1,7 @@
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from framecs.cli import (
     ExperimentConfig,
     build_dictionary,
+    build_parser,
     default_config,
     main,
     parse_config,
@@ -272,6 +275,23 @@ class TestExperimentCommand:
         assert code == 1
         assert "oversampling factor c must be >= 1" in err
 
+    def test_sparsity_flag_is_rejected(self, tmp_path, capsys):
+        # no experiment reads a sparsity level; --s is not an experiment flag
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "dirac-comb", "--s", "3", "--out", str(tmp_path)])
+        assert exc.value.code == 1
+
+    def test_sparsity_config_key_is_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("s = 3\n")
+        code, _, err = run_cli(
+            ["experiment", "dirac-comb", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 1
+        assert "unknown key 's'" in err
+
     def test_radar_emits_time_freq_and_summary(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["experiment", "radar", "--n", "256", "--m", "64", "--trials", "1",
@@ -448,3 +468,36 @@ class TestConfigRoundTrip:
             assert back == cfg
             # no shipped config may name a lattice build_gabor rejects
             build_dictionary(cfg.dict_kind, cfg.n, cfg)
+
+
+def readme_commands():
+    """Each `framecs ...` command of the README's CLI block, with its
+    backslash continuations joined, as arguments after the program name."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    return [shlex.split(ln, comments=True)[1:] for ln in lines
+            if ln.startswith("framecs ")]
+
+
+class TestReadmeCli:
+    def test_every_command_parses(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == {"recover", "experiment", "certify"}
+        parser = build_parser()
+        for argv in commands:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README command does not parse: framecs {shlex.join(argv)}")
+
+    @pytest.mark.parametrize("argv", [
+        argv for argv in readme_commands()
+        if argv[0] == "certify" or argv[:2] == ["experiment", "constants"]
+    ], ids=shlex.join)
+    def test_certify_and_constants_commands_run(self, argv, tmp_path, capsys):
+        if "--out" in argv:
+            argv = argv.copy()
+            argv[argv.index("--out") + 1] = str(tmp_path)
+        code, _, err = run_cli(argv, capsys)
+        assert code == 0, err

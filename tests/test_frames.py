@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from framecs import frames, linops
 from framecs.certify import drip_exact_small
 from framecs.frames import (
     _GEMM_TABLE_BYTES,
@@ -99,10 +100,11 @@ class TestOversampledDft:
         with pytest.raises(ValueError, match="oversampling factor c must be"):
             build_oversampled_dft(16, c)
 
-    def test_dense_cap_blocks_export_not_use(self):
+    def test_dense_cap_blocks_export_not_use(self, monkeypatch):
         D = build_oversampled_dft(64, 2)
-        with pytest.raises(ValueError, match="cap"):
-            D.dense(cap=100)
+        monkeypatch.setattr(linops, "MATERIALIZATION_CAP", 100)
+        with pytest.raises(ValueError, match="cap of 100 entries"):
+            D.dense()
         x = np.zeros(128, dtype=complex)
         x[0] = 1.0
         assert np.isfinite(D.apply(x)).all()
@@ -371,6 +373,13 @@ class TestConcat:
         with pytest.raises(ValueError, match="dimensions differ"):
             build_concat(build_identity(4), build_identity(8))
 
+    @pytest.mark.parametrize("scale", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_scale_that_is_not_positive_and_finite_rejected(self, scale):
+        # NaN and inf pass `scale <= 0` and would build a D whose apply
+        # returns NaN
+        with pytest.raises(ValueError, match=f"got {scale!r}"):
+            build_concat(build_identity(4), build_identity(4), scale)
+
 
 class TestTighten:
     def test_tight_input_is_fixed_point(self):
@@ -451,13 +460,14 @@ class TestFrameBounds:
         A, B = frame_bounds(D)
         assert (A, B) == pytest.approx((5.0, 5.0), abs=1e-10)
 
-    def test_power_branch_matches_dense_eig(self):
-        # dense_limit below n forces the power branch, whose 500-step cap
+    def test_power_branch_matches_dense_eig(self, monkeypatch):
+        # a dense limit below n forces the power branch, whose 500-step cap
         # binds on this frame.
         D = plain(build_gabor(256, 8.0, 8, 1 / 32))
         M = D.dense()
         eig = np.linalg.eigvalsh(M @ M.conj().T)
-        A, B = frame_bounds(D, dense_limit=16)
+        monkeypatch.setattr(frames, "DENSE_BOUNDS_LIMIT", 16)
+        A, B = frame_bounds(D)
         assert D._bounds_cache is None
         assert A == pytest.approx(eig[0], rel=1e-3)
         assert B == pytest.approx(eig[-1], rel=1e-3)
@@ -474,13 +484,14 @@ class TestFrameBounds:
         assert A == pytest.approx(eig[0], rel=1e-12)
         assert B == pytest.approx(eig[-1], rel=1e-12)
 
-    def test_lattice_entry_answers_both_branches(self):
+    def test_lattice_entry_answers_both_branches(self, monkeypatch):
         D = build_gabor(256, 8.0, 8, 1 / 32)
         bounds = D._bounds_cache
         assert frame_bounds(D) == bounds
-        assert frame_bounds(D, dense_limit=16) == bounds
-        assert D._bounds_cache is bounds
         assert bounds == pytest.approx(frame_bounds(plain(D)), rel=1e-13)
+        monkeypatch.setattr(frames, "DENSE_BOUNDS_LIMIT", 16)
+        assert frame_bounds(D) == bounds
+        assert D._bounds_cache is bounds
 
 
 @pytest.mark.parametrize("earlier", ["dense", "drip_exact_small"])

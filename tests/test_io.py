@@ -93,3 +93,22 @@ def test_history_csv():
     rep_no_hist = l1_analysis(A, D, y, 0.0, cfg=SolverConfig(max_iter=50))
     with pytest.raises(ValueError, match="history"):
         history_to_csv(rep_no_hist)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("# n=2 sample_rate=none\n1.0,0.0\n1.0,2.0,3.0\n",
+     "line 3: expected 're,im' (two floats), got '1.0,2.0,3.0'"),
+    # blank lines count: the bad row is line 4
+    ("# n=2 sample_rate=none\n1.0,0.0\n\n1.0\n",
+     "line 4: expected 're,im' (two floats), got '1.0'"),
+    ("# n=1 sample_rate=none\nabc,0.0\n",
+     "line 2: expected 're,im' (two floats), got 'abc,0.0'"),
+    ("\n# n=x sample_rate=none\n1.0,0.0\n",
+     "line 2: expected '# n=<int> sample_rate=<float>|none', got '# n=x sample_rate=none'"),
+    ("# n=1 sample_rate=fast\n1.0,0.0\n",
+     "line 1: expected '# n=<int> sample_rate=<float>|none', got '# n=1 sample_rate=fast'"),
+])
+def test_signal_parse_errors_name_the_line_and_form(text, message):
+    with pytest.raises(ValueError) as err:
+        signal_from_csv(text)
+    assert str(err.value) == message

@@ -535,7 +535,7 @@ class TestStepNorm:
         assert _op_norm(D) == math.sqrt(frame_bounds(D)[1])
         assert _op_norm(D) ** 2 == pytest.approx(frame_bounds(D)[1], rel=4e-16)
 
-    def test_off_lattice_solve_ignores_earlier_frame_bounds(self):
+    def test_off_lattice_solve_ignores_earlier_frame_bounds(self, monkeypatch):
         A = gaussian_sensing(24, 64, seed=4)
         y, _ = measure(A, make_rng(3).standard_normal(64) + 0j, 0.0, seed=1)
         cfg = SolverConfig(max_iter=300, over_relaxation=1.8)
@@ -545,7 +545,9 @@ class TestStepNorm:
             D = build_concat(build_gabor(64, 4.0, 4, 1 / 16), build_oversampled_dft(64))
             assert D._bounds_cache is None
             if limit is not None:
-                frame_bounds(D, dense_limit=limit)
+                with monkeypatch.context() as patch:
+                    patch.setattr(frames, "DENSE_BOUNDS_LIMIT", limit)
+                    frame_bounds(D)
             reports.append(l1_analysis(A, D, y, 0.0, cfg=cfg))
         first = reports[0]
         for rep in reports[1:]:
