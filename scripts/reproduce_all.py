@@ -2,8 +2,9 @@
 """Run every desk-scale experiment with default configs.
 
 Each experiment writes its CSV tables and resolved config under
-<out>/<experiment>/. Expect a few minutes total; the radar and
-noise-curve sweeps dominate.
+<out>/<experiment>/.  --only names a comma-separated subset; an unknown
+name exits 1 before any experiment runs.  Expect a few minutes total;
+the radar and noise-curve sweeps dominate.
 """
 
 import argparse
@@ -21,6 +22,11 @@ def run(argv=None):
     )
     args = parser.parse_args(argv)
     names = args.only.split(",") if args.only else list(EXPERIMENTS)
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        print(f"unknown experiment(s): {', '.join(unknown)}; choose from "
+              + ", ".join(EXPERIMENTS), file=sys.stderr)
+        return 1
     for name in names:
         t0 = time.monotonic()
         code = cli_main(["experiment", name, "--out", f"{args.out}/{name}"])

@@ -7,9 +7,12 @@ Three subcommands:
   experiment  desk-scale reproductions emitting CSV tables
   certify     coherence / D-RIP / concentration / constants queries
 
-Every command is a pure function of (flags, config file, seed): repeated
-runs produce byte-identical output.  Exit codes: 0 success, 1 usage or
-data error, 2 numerical non-convergence or enumeration cap.
+Each experiment's settings and trials come from ``framecs.scenarios``;
+this module maps each experiment name to the runner that writes its
+tables.  Flags are matched in full, never by a prefix.  Every command is
+a pure function of (flags, config file, seed): repeated runs produce
+byte-identical output.  Exit codes: 0 success, 1 usage or data error
+(any ValueError), 2 numerical non-convergence or enumeration cap.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Callable
 
@@ -32,30 +35,23 @@ from .certify import (
     drip_monte_carlo,
     theorem_constants_from_delta,
 )
-from .frames import (
-    Dictionary,
-    build_concat,
-    build_gabor,
-    build_identity,
-    build_oversampled_dft,
-    coherence,
-)
+from .frames import coherence
 from .rng import split_seed
-from .sensing import (
-    SensingOperator,
-    from_descriptor,
-    gaussian_sensing,
-    measure,
-    noise_bound,
+from .scenarios import (
+    EXPERIMENTS,
+    RECOVER_NOISE_STREAM,
+    RECOVER_SENSING_STREAM,
+    RECOVER_SIGNAL_STREAM,
+    ExperimentConfig,
+    build_dictionary,
+    build_sensing,
+    build_signal,
+    default_config,
+    solver_config,
+    trial,
 )
-from .signals import (
-    PulseParams,
-    Signal,
-    compressible_signal,
-    dirac_comb,
-    metrics,
-    radar_pulse_train,
-)
+from .sensing import measure, noise_bound
+from .signals import metrics
 from .solvers import (
     SolverConfig,
     l1_analysis,
@@ -67,53 +63,6 @@ from .solvers import (
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NUMERIC = 2
-
-class CliError(Exception):
-    """Usage or data error -> exit 1."""
-
-
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat experiment configuration; file values are overridden by flags."""
-
-    experiment: str = "noise-curve"
-    n: int = 256
-    m: int = 100
-    oversampling: int = 4
-    sigmas: tuple[float, ...] = (0.02, 0.05, 0.1, 0.15, 0.25)
-    trials: int = 5
-    rw_iters: int = 3
-    seed: int = 1
-    output_dir: str = ""
-    dict_kind: str = "gabor"
-    signal: str = "radar"
-    gabor_sigma: float = 8.0
-    gabor_a: int = 8
-    gabor_b: float = 1.0 / 32.0
-    pulses: int = 1
-    duration: int = 96
-    rise_fall: int = 24
-    f_lo: float = 0.05
-    f_hi: float = 0.45
-    q_decay: float = 1.5
-    max_iter: int = 6000
-    tol_rel: float = 1e-5
-    over_relaxation: float = 1.8
-    step_ratio: float = 0.25
-
-    def __post_init__(self):
-        if self.experiment not in EXPERIMENTS:
-            raise CliError(
-                f"unknown experiment {self.experiment!r}; choose from "
-                + ", ".join(EXPERIMENTS)
-            )
-        if self.trials < 1:
-            raise CliError("trials must be >= 1")
-
-
-def default_config(experiment: str) -> ExperimentConfig:
-    _, overrides = _EXPERIMENTS.get(experiment, (None, {}))
-    return ExperimentConfig(experiment=experiment, **overrides)
 
 
 def _field_types() -> dict[str, type]:
@@ -143,10 +92,10 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise CliError(f"config line {lineno}: expected 'key = value'")
+            raise ValueError(f"config line {lineno}: expected 'key = value'")
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in known:
-            raise CliError(f"config line {lineno}: unknown key {key!r}")
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
     if base is None:
         base = default_config(values.get("experiment", "noise-curve"))
@@ -165,70 +114,11 @@ def serialize_config(cfg: ExperimentConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-# ---------------------------------------------------------------------------
-# object construction from flags
-
-
-def build_dictionary(kind: str, n: int, cfg_like) -> Dictionary:
-    if kind == "identity":
-        return build_identity(n)
-    if kind == "dft":
-        c = cfg_like.oversampling
-        return build_oversampled_dft(n, 1 if c is None else c)
-    if kind == "concat-if":
-        return build_concat(
-            build_identity(n), build_oversampled_dft(n, 1), 1.0 / math.sqrt(2.0)
-        )
-    if kind == "gabor":
-        return build_gabor(
-            n, cfg_like.gabor_sigma, cfg_like.gabor_a, cfg_like.gabor_b
-        )
-    raise CliError(
-        f"unknown dictionary kind {kind!r}; choose identity, dft, concat-if, gabor"
-    )
-
-
-def build_sensing(kind: str, m: int, n: int, seed: int) -> SensingOperator:
-    """The CLI spells the subsampled_dft_sign descriptor kind "fourier"."""
-    if kind == "fourier":
-        kind = "subsampled_dft_sign"
-    return from_descriptor({"kind": kind, "m": m, "n": n, "seed": seed})
-
-
-def build_signal(kind: str, n: int, D: Dictionary, params, seed: int) -> Signal:
-    """A dirac comb, a compressible signal in D, or (any other kind) the
-    radar pulse train; `params` carries the pulse and decay settings."""
-    if kind == "dirac":
-        return dirac_comb(n)
-    if kind == "compressible":
-        return compressible_signal(D, params.q_decay, seed)[1]
-    return radar_pulse_train(
-        n,
-        PulseParams(
-            num_pulses=params.pulses,
-            duration=params.duration,
-            rise_fall=params.rise_fall,
-            f_lo=params.f_lo,
-            f_hi=params.f_hi,
-            seed=seed,
-        ),
-    )
-
-
 def _out_dir(flag_value: str | None) -> Path:
     out = flag_value or os.environ.get("FRAMECS_OUT", "out")
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(
-        max_iter=cfg.max_iter,
-        tol_rel=cfg.tol_rel,
-        over_relaxation=cfg.over_relaxation,
-        step_ratio=cfg.step_ratio,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -237,31 +127,37 @@ def _solver_config(cfg: ExperimentConfig) -> SolverConfig:
 
 def cmd_recover(args) -> int:
     if args.audit_s is not None and args.audit_s < 1:
-        raise CliError(f"--audit-s must be >= 1, got {args.audit_s}")
+        raise ValueError(f"--audit-s must be >= 1, got {args.audit_s}")
     n, m = args.n, args.m
     D = build_dictionary(args.dict, n, args)
     if args.method == "split":
         D2 = build_dictionary(args.dict2, n, args)
-    A = build_sensing(args.sensing, m, n, split_seed(args.seed, 2))
+    A = build_sensing(
+        args.sensing, m, n, split_seed(args.seed, RECOVER_SENSING_STREAM)
+    )
 
     audit_s = None
     if args.signal in ("dirac", "radar", "compressible"):
-        f = build_signal(args.signal, n, D, args, split_seed(args.seed, 1))
+        f = build_signal(
+            args.signal, n, D, args, split_seed(args.seed, RECOVER_SIGNAL_STREAM)
+        )
         if args.signal == "dirac":
             audit_s = 2 * math.isqrt(n)
     else:
         path = Path(args.signal)
         if not path.exists():
-            raise CliError(f"signal file not found: {path}")
+            raise ValueError(f"signal file not found: {path}")
         f = fio.signal_from_csv(path.read_text())
         if f.n != n:
-            raise CliError(
+            raise ValueError(
                 f"dimension mismatch: signal length {f.n} but --n is {n}"
             )
     if args.audit_s is not None:
         audit_s = args.audit_s
 
-    y, znorm = measure(A, f.samples, args.sigma, split_seed(args.seed, 3))
+    y, znorm = measure(
+        A, f.samples, args.sigma, split_seed(args.seed, RECOVER_NOISE_STREAM)
+    )
     if args.eps is not None:
         eps = args.eps
     elif args.eps_rule == "percentile":
@@ -312,22 +208,14 @@ def _convergence(*reports) -> tuple[int, ...]:
 
 def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    scfg = _solver_config(cfg)
+    scfg = solver_config(cfg)
 
     def one_trial(t: int):
-        f = build_signal(cfg.signal, cfg.n, D, cfg, split_seed(cfg.seed, t))
-        A = gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, 10_000 + t))
-        af_norm = float(np.linalg.norm(A.apply(f.samples)))
         errs = []
-        for li, nu in enumerate(cfg.sigmas):
-            sigma = nu * af_norm / math.sqrt(cfg.m)
-            y, znorm = measure(
-                A, f.samples, sigma, split_seed(cfg.seed, 20_000 + li * cfg.trials + t)
-            )
-            plain = l1_analysis(A, D, y, znorm, cfg=scfg)
-            rw = reweighted_l1_analysis(
-                A, D, y, znorm, rw_iters=cfg.rw_iters, cfg=scfg
-            )
+        for li in range(len(cfg.sigmas)):
+            f, A, y, eps = trial(cfg, D, t, li)
+            plain = l1_analysis(A, D, y, eps, cfg=scfg)
+            rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
             errs.append(
                 (
                     metrics(plain.f_hat, f)["relative_error"],
@@ -354,14 +242,11 @@ def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    scfg = _solver_config(cfg)
-    sigma0 = cfg.sigmas[0] if cfg.sigmas else 0.0
+    scfg = solver_config(cfg)
 
     def one_trial(t: int):
-        f = build_signal("radar", cfg.n, D, cfg, split_seed(cfg.seed, t))
-        A = gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, 10_000 + t))
-        y, znorm = measure(A, f.samples, sigma0, split_seed(cfg.seed, 20_000 + t))
-        eps = znorm
+        # noise at the first level, relative as in noise-curve
+        f, A, y, eps = trial(cfg, D, t, 0 if cfg.sigmas else None)
         plain = l1_analysis(A, D, y, eps, cfg=scfg)
         rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
         return f, plain, rw
@@ -415,13 +300,11 @@ def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _exp_dirac_comb(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    f = dirac_comb(cfg.n)
-    scfg = _solver_config(cfg)
+    scfg = solver_config(cfg)
 
     def one_trial(t: int):
-        A = gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, 10_000 + t))
-        y, _ = measure(A, f.samples, 0.0, 0)
-        rep = l1_analysis(A, D, y, 0.0, cfg=scfg)
+        f, A, y, eps = trial(cfg, D, t)
+        rep = l1_analysis(A, D, y, eps, cfg=scfg)
         return (
             t,
             metrics(rep.f_hat, f)["relative_error"],
@@ -450,7 +333,7 @@ def _exp_constants(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _exp_coefficient_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    f = build_signal("radar", cfg.n, D, cfg, split_seed(cfg.seed, 0))
+    f = trial(cfg, D, 0)[0]
     mags = np.sort(np.abs(D.adjoint(f.samples)))[::-1]
     rows = [(k, float(mags[k])) for k in range(mags.size)]
     path = out / "coefficient_decay.csv"
@@ -460,15 +343,13 @@ def _exp_coefficient_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _exp_method_comparison(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    scfg = _solver_config(cfg)
+    scfg = solver_config(cfg)
 
     def one_trial(t: int):
-        f = build_signal(cfg.signal, cfg.n, D, cfg, split_seed(cfg.seed, t))
-        A = gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, 10_000 + t))
-        y, _ = measure(A, f.samples, 0.0, 0)
-        ra = l1_analysis(A, D, y, 0.0, cfg=scfg)
-        rw = reweighted_l1_analysis(A, D, y, 0.0, rw_iters=cfg.rw_iters, cfg=scfg)
-        rs, _ = l1_synthesis(A, D, y, 0.0, cfg=scfg)
+        f, A, y, eps = trial(cfg, D, t)
+        ra = l1_analysis(A, D, y, eps, cfg=scfg)
+        rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
+        rs, _ = l1_synthesis(A, D, y, eps, cfg=scfg)
         return (
             t,
             metrics(ra.f_hat, f)["relative_error"],
@@ -487,70 +368,15 @@ def _exp_method_comparison(cfg: ExperimentConfig, out: Path) -> list[Path]:
     return [path]
 
 
-# name -> (runner, ExperimentConfig overrides); the order is the CLI's
-_EXPERIMENTS: dict[str, tuple[Callable[..., list[Path]], dict]] = {
-    "radar": (
-        _exp_radar,
-        {
-            "n": 1024,
-            "m": 120,
-            "oversampling": 8,
-            "sigmas": (0.0,),
-            "trials": 10,
-            "gabor_sigma": 16.0,
-            "gabor_a": 8,
-            "gabor_b": 1.0 / 64.0,
-            "pulses": 3,
-            "duration": 128,
-            "rise_fall": 32,
-            "max_iter": 6000,
-        },
-    ),
-    "dirac-comb": (
-        _exp_dirac_comb,
-        {
-            "n": 64,
-            "m": 32,
-            "dict_kind": "concat-if",
-            "signal": "dirac",
-            "sigmas": (0.0,),
-            "trials": 10,
-            "max_iter": 20000,
-            "over_relaxation": 1.8,
-            "tol_rel": 1e-6,
-        },
-    ),
-    "noise-curve": (_exp_noise_curve, {}),
-    "constants": (_exp_constants, {"trials": 1}),
-    "coefficient-decay": (
-        _exp_coefficient_decay,
-        {
-            "n": 1024,
-            "oversampling": 8,
-            "gabor_sigma": 16.0,
-            "gabor_a": 8,
-            "gabor_b": 1.0 / 64.0,
-            "pulses": 3,
-            "duration": 128,
-            "rise_fall": 32,
-            "trials": 1,
-        },
-    ),
-    "method-comparison": (
-        _exp_method_comparison,
-        {
-            "n": 128,
-            "m": 64,
-            "dict_kind": "dft",
-            "oversampling": 4,
-            "signal": "compressible",
-            "sigmas": (0.0,),
-            "trials": 5,
-            "max_iter": 8000,
-        },
-    ),
+# name -> runner, keyed as scenarios.DEFAULTS
+_RUNNERS: dict[str, Callable[[ExperimentConfig, Path], list[Path]]] = {
+    "radar": _exp_radar,
+    "dirac-comb": _exp_dirac_comb,
+    "noise-curve": _exp_noise_curve,
+    "constants": _exp_constants,
+    "coefficient-decay": _exp_coefficient_decay,
+    "method-comparison": _exp_method_comparison,
 }
-EXPERIMENTS = tuple(_EXPERIMENTS)
 
 
 def cmd_experiment(args) -> int:
@@ -558,7 +384,7 @@ def cmd_experiment(args) -> int:
     if args.config:
         path = Path(args.config)
         if not path.exists():
-            raise CliError(f"config file not found: {path}")
+            raise ValueError(f"config file not found: {path}")
         base = parse_config(path.read_text(), base=base)
         if base.experiment != args.name:
             base = replace(base, experiment=args.name)
@@ -579,8 +405,7 @@ def cmd_experiment(args) -> int:
 
     out = _out_dir(args.out or cfg.output_dir or None)
     (out / "config.txt").write_text(serialize_config(cfg))
-    runner, _ = _EXPERIMENTS[cfg.experiment]
-    paths = runner(cfg, out)
+    paths = _RUNNERS[cfg.experiment](cfg, out)
     for p in [out / "config.txt"] + paths:
         sys.stdout.write(str(p) + "\n")
     return EXIT_OK
@@ -650,10 +475,10 @@ def _add_dict_flags(p):
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(prog="framecs", description=__doc__)
+    parser = _Parser(prog="framecs", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rec = sub.add_parser("recover", parents=[], help="run one recovery")
+    rec = sub.add_parser("recover", help="run one recovery", allow_abbrev=False)
     rec.add_argument("--method", required=True,
                      choices=["analysis", "reweighted", "synthesis", "split"])
     _add_dict_flags(rec)
@@ -687,7 +512,9 @@ def build_parser() -> _Parser:
     rec.add_argument("--out", default=None)
     rec.set_defaults(func=cmd_recover)
 
-    exp = sub.add_parser("experiment", help="run a desk-scale reproduction")
+    exp = sub.add_parser(
+        "experiment", help="run a desk-scale reproduction", allow_abbrev=False
+    )
     exp.add_argument("name", choices=EXPERIMENTS)
     exp.add_argument("--config", default=None, help="key = value file")
     exp.add_argument("--n", type=int, default=None)
@@ -703,7 +530,9 @@ def build_parser() -> _Parser:
     exp.add_argument("--out", default=None)
     exp.set_defaults(func=cmd_experiment)
 
-    cer = sub.add_parser("certify", help="coherence / D-RIP / concentration")
+    cer = sub.add_parser(
+        "certify", help="coherence / D-RIP / concentration", allow_abbrev=False
+    )
     cer.add_argument("what",
                      choices=["coherence", "drip-mc", "drip-exact", "concentration"])
     _add_dict_flags(cer)
@@ -727,9 +556,6 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("certify drip/concentration requires --m")
     try:
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"framecs: error: {exc}\n")
-        return EXIT_USAGE
     except ValueError as exc:
         sys.stderr.write(f"framecs: error: {exc}\n")
         return EXIT_USAGE

@@ -2,7 +2,8 @@
 PASS/FAIL line (run with -s or -v to see them).
 
 The recovery-heavy criteria share three cached experiment batches (Dirac
-comb, Gabor noise sweep, desk radar) so the lemma audit can inspect every
+comb, Gabor noise sweep, desk radar), built from the default
+framecs.scenarios configurations, so the lemma audit can inspect every
 converged solve without re-running anything.
 """
 
@@ -29,8 +30,9 @@ from framecs.frames import (
     gram_pnorm_factor,
 )
 from framecs.rng import make_rng, split_seed
+from framecs.scenarios import build_dictionary, default_config, solver_config, trial
 from framecs.sensing import gaussian_sensing, measure
-from framecs.signals import PulseParams, dirac_comb, metrics, radar_pulse_train
+from framecs.signals import metrics
 from framecs.solvers import (
     SolverConfig,
     l1_analysis,
@@ -70,21 +72,21 @@ def _record(report, eps, cfg, y, cf_l1):
 
 @pytest.fixture(scope="module")
 def comb_batch():
-    n, m, trials = 64, 32, 10
-    D = build_concat(build_identity(n), build_oversampled_dft(n, 1),
-                     1 / math.sqrt(2))
-    f = dirac_comb(n)
-    s = 2 * math.isqrt(n)
-    cfg = SolverConfig(max_iter=20000, tol_rel=1e-6, over_relaxation=1.8,
-                       step_ratio=0.25)
+    cfg = default_config("dirac-comb")
+    D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
+    f = trial(cfg, D, 0)[0]  # the comb, the same in every trial
+    s = 2 * math.isqrt(cfg.n)
+    scfg = solver_config(cfg)
     cf_l1 = float(np.sum(np.abs(D.adjoint(f.samples))))
     records, errors = [], []
     t0 = time.monotonic()
-    for t in range(trials):
-        A = gaussian_sensing(m, n, seed=split_seed(2025, t))
+    for t in range(cfg.trials):
+        # criterion 2 is pinned to these sensing seeds, not to the
+        # scenario's sensing stream; acceptance seeds are not re-picked
+        A = gaussian_sensing(cfg.m, cfg.n, seed=split_seed(2025, t))
         y, _ = measure(A, f.samples, 0.0, seed=0)
-        rep = l1_analysis(A, D, y, 0.0, cfg=cfg, reference=f, audit_s=s)
-        records.append(_record(rep, 0.0, cfg, y, cf_l1))
+        rep = l1_analysis(A, D, y, 0.0, cfg=scfg, reference=f, audit_s=s)
+        records.append(_record(rep, 0.0, scfg, y, cf_l1))
         errors.append(metrics(rep.f_hat, f)["relative_error"])
     return {"records": records, "errors": errors,
             "elapsed": time.monotonic() - t0}
@@ -92,37 +94,26 @@ def comb_batch():
 
 @pytest.fixture(scope="module")
 def noise_batch():
-    n, m, trials, s = 256, 100, 5, 25
-    levels = (0.02, 0.05, 0.1, 0.15, 0.25)
-    D = build_gabor(n, 8.0, 8, 1 / 32)  # 1/(a b) = 4x oversampled
-    cfg = SolverConfig(max_iter=6000, tol_rel=1e-5, over_relaxation=1.8,
-                       step_ratio=0.25)
-    seed = 1
+    cfg, s = default_config("noise-curve"), 25
+    D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
+    scfg = solver_config(cfg)
     records = []
-    err_plain = np.zeros((len(levels), trials))
+    err_plain = np.zeros((len(cfg.sigmas), cfg.trials))
     err_rw = np.zeros_like(err_plain)
     t0 = time.monotonic()
-    for t in range(trials):
-        p = PulseParams(num_pulses=1, duration=96, rise_fall=24, f_lo=0.05,
-                        f_hi=0.45, seed=split_seed(seed, t))
-        f = radar_pulse_train(n, p)
-        A = gaussian_sensing(m, n, seed=split_seed(seed, 10_000 + t))
-        af_norm = float(np.linalg.norm(A.apply(f.samples)))
-        cf_l1 = float(np.sum(np.abs(D.adjoint(f.samples))))
-        for li, nu in enumerate(levels):
-            sigma = nu * af_norm / math.sqrt(m)
-            y, znorm = measure(A, f.samples, sigma,
-                               seed=split_seed(seed, 20_000 + li * trials + t))
-            plain = l1_analysis(A, D, y, znorm, cfg=cfg, reference=f,
-                                audit_s=s)
-            rw = reweighted_l1_analysis(A, D, y, znorm, rw_iters=3, cfg=cfg,
-                                        reference=f, audit_s=s)
-            records.append(_record(plain, znorm, cfg, y, cf_l1))
-            records.append(_record(rw, znorm, cfg, y, cf_l1))
+    for t in range(cfg.trials):
+        for li in range(len(cfg.sigmas)):
+            f, A, y, eps = trial(cfg, D, t, li)
+            cf_l1 = float(np.sum(np.abs(D.adjoint(f.samples))))
+            plain = l1_analysis(A, D, y, eps, cfg=scfg, reference=f, audit_s=s)
+            rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters,
+                                        cfg=scfg, reference=f, audit_s=s)
+            records.append(_record(plain, eps, scfg, y, cf_l1))
+            records.append(_record(rw, eps, scfg, y, cf_l1))
             err_plain[li, t] = metrics(plain.f_hat, f)["relative_error"]
             err_rw[li, t] = metrics(rw.f_hat, f)["relative_error"]
     return {
-        "levels": np.asarray(levels),
+        "levels": np.asarray(cfg.sigmas),
         "err_plain": err_plain.mean(axis=1),
         "err_rw": err_rw.mean(axis=1),
         "records": records,
@@ -132,25 +123,19 @@ def noise_batch():
 
 @pytest.fixture(scope="module")
 def radar_batch():
-    n, m, trials, s = 1024, 120, 10, 40
-    D = build_gabor(n, 16.0, 8, 1 / 64)  # 8x oversampled
-    cfg = SolverConfig(max_iter=6000, tol_rel=1e-5, over_relaxation=1.8,
-                       step_ratio=0.25)
-    seed = 1
+    cfg, s = default_config("radar"), 40
+    D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
+    scfg = solver_config(cfg)
     records, rmse_plain, rmse_rw = [], [], []
     t0 = time.monotonic()
-    for t in range(trials):
-        p = PulseParams(num_pulses=3, duration=128, rise_fall=32, f_lo=0.05,
-                        f_hi=0.45, seed=split_seed(seed, t))
-        f = radar_pulse_train(n, p)
-        A = gaussian_sensing(m, n, seed=split_seed(seed, 10_000 + t))
-        y, _ = measure(A, f.samples, 0.0, seed=0)
+    for t in range(cfg.trials):
+        f, A, y, eps = trial(cfg, D, t, 0)
         cf_l1 = float(np.sum(np.abs(D.adjoint(f.samples))))
-        plain = l1_analysis(A, D, y, 0.0, cfg=cfg, reference=f, audit_s=s)
-        rw = reweighted_l1_analysis(A, D, y, 0.0, rw_iters=3, cfg=cfg,
-                                    reference=f, audit_s=s)
-        records.append(_record(plain, 0.0, cfg, y, cf_l1))
-        records.append(_record(rw, 0.0, cfg, y, cf_l1))
+        plain = l1_analysis(A, D, y, eps, cfg=scfg, reference=f, audit_s=s)
+        rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters,
+                                    cfg=scfg, reference=f, audit_s=s)
+        records.append(_record(plain, eps, scfg, y, cf_l1))
+        records.append(_record(rw, eps, scfg, y, cf_l1))
         rmse_plain.append(metrics(plain.f_hat, f)["rmse"])
         rmse_rw.append(metrics(rw.f_hat, f)["rmse"])
     return {

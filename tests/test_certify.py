@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from framecs import certify, sensing
@@ -203,15 +203,18 @@ def spy_ratios(monkeypatch):
 
 def per_support_extremes(A, D, s):
     """Exact enumeration one support at a time: (smin^2, smax^2) of each
-    support of nonzero rank, in itertools.combinations order."""
+    support of nonzero rank, in itertools.combinations order.  The basis
+    is the rank leading left singular vectors, sliced as the enumeration
+    slices them."""
     M, Adense = D.dense(), A.dense()
     out = []
     for support in itertools.combinations(range(D.d), s):
         cols = M[:, list(support)]
         u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-        basis = u[:, sv > max(cols.shape) * np.finfo(float).eps * sv[0]]
-        if basis.shape[1] == 0:
+        rank = int(np.sum(sv > max(cols.shape) * np.finfo(float).eps * sv[0]))
+        if rank == 0:
             continue
+        basis = u[:, :rank]
         sub_sv = np.linalg.svd(Adense @ basis, compute_uv=False)
         out.append((float(sub_sv[-1] ** 2), float(sub_sv[0] ** 2)))
     return out
@@ -446,6 +449,15 @@ def count_svd_supports(monkeypatch):
     return sizes
 
 
+def m1_instance():
+    """A screen_instances draw (n = 4, d = 2, s = 2, seed 0, scale 30) with
+    one measurement: a masked copy of the basis, u[:, mask], rounds A times
+    it differently from the enumeration's u[:, :rank] in the last bit."""
+    rng = make_rng(0, 1)
+    M = 30.0 * (rng.standard_normal((4, 2)) + 1j * rng.standard_normal((4, 2)))
+    return gaussian_sensing(1, 4, seed=0), from_matrix(M), 2
+
+
 @st.composite
 def screen_instances(draw):
     """Small from_matrix dictionaries with zero and near-duplicate atoms,
@@ -607,14 +619,13 @@ class TestDripExactScreen:
         assert est.trials == 28
 
     @given(screen_instances())
+    @example(m1_instance())
     @settings(max_examples=60, deadline=None)
     def test_screen_matches_the_full_enumeration(self, instance):
-        # against the SVD stage on every support, not per_support_extremes:
-        # at m = 1 the reference's masked basis can round A times it
-        # differently in the last bit
         A, D, s = instance
         screened = drip_exact_small(A, D, s)
         full = unscreened_extremes(A, D, s)
+        assert per_support_extremes(A, D, s) == full
         assert screened.delta_hat == (reference_delta(full) if full else 0.0)
         assert screened.trials == len(full)
 

@@ -6,20 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from framecs.cli import (
-    ExperimentConfig,
-    build_dictionary,
-    build_parser,
-    default_config,
-    main,
-    parse_config,
-    serialize_config,
-)
+from framecs.cli import build_parser, main, parse_config, serialize_config
+from framecs.scenarios import ExperimentConfig, build_dictionary, default_config
 from framecs.certify import ENUMERATION_CAP, drip_exact_small
 from framecs.frames import build_concat, build_identity, build_oversampled_dft
 from framecs.io import signal_to_csv
 from framecs.sensing import bernoulli_sensing, subsampled_dft_sign
-from framecs.signals import Signal
+from framecs.signals import Signal, dirac_comb
 from framecs.rng import make_rng
 
 
@@ -292,6 +285,46 @@ class TestExperimentCommand:
         assert code == 1
         assert "unknown key 's'" in err
 
+    def test_step_ratio_config_key_is_rejected(self, tmp_path, capsys):
+        # every experiment starts at scenarios.STEP_RATIO; no key sets it
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("step_ratio = 0.25\n")
+        code, _, err = run_cli(
+            ["experiment", "dirac-comb", "--config", str(cfg),
+             "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 1
+        assert "unknown key 'step_ratio'" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", [["--se", "3"], ["--rw", "2"]])
+    def test_flag_prefixes_are_rejected(self, flag, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "radar", *flag, "--out", str(tmp_path)])
+        assert exc.value.code == 1
+        assert "unrecognized arguments: " + " ".join(flag) in capsys.readouterr().err
+        args = build_parser().parse_args(
+            ["experiment", "radar", "--seed", "3", "--rw-iters", "2"])
+        assert (args.seed, args.rw_iters) == (3, 2)
+
+    def test_coefficient_decay_honours_signal(self, tmp_path, capsys):
+        code, _, _ = run_cli(
+            ["experiment", "coefficient-decay", "--n", "256", "--signal", "dirac",
+             "--out", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        cfg = default_config("coefficient-decay")
+        D = build_dictionary(cfg.dict_kind, 256, cfg)
+        expected = np.sort(np.abs(D.adjoint(dirac_comb(256).samples)))[::-1]
+        mags = [
+            float(ln.split(",")[1])
+            for ln in (tmp_path / "coefficient_decay.csv").read_text().splitlines()
+            if not ln.startswith("#")
+        ]
+        assert mags == [float(v) for v in expected]
+
     def test_radar_emits_time_freq_and_summary(self, tmp_path, capsys):
         code, _, _ = run_cli(
             ["experiment", "radar", "--n", "256", "--m", "64", "--trials", "1",
@@ -458,6 +491,9 @@ class TestConfigRoundTrip:
         cfg = parse_config("# hello\n\nexperiment = constants\n")
         assert cfg.experiment == "constants"
         assert cfg == default_config("constants")
+
+    def test_serialized_config_has_no_step_ratio(self):
+        assert "step_ratio" not in serialize_config(default_config("radar"))
 
     def test_all_experiments_have_defaults(self):
         for name in ("radar", "dirac-comb", "noise-curve", "constants",
