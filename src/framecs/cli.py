@@ -7,9 +7,12 @@ Three subcommands:
   experiment  desk-scale reproductions emitting CSV tables
   certify     coherence / D-RIP / concentration / constants queries
 
-Each experiment's settings and trials come from ``framecs.scenarios``;
-this module maps each experiment name to the runner that writes its
-tables.  Flags are matched in full, never by a prefix.  Every command is
+Each experiment's settings come from ``framecs.scenarios``, and every
+solve of an experiment is a ``scenarios.solve_trials`` record; this
+module maps each experiment name to the runner that formats its tables
+from them.  Flags and the config file resolve into one checked
+``ExperimentConfig`` before anything is written.  Flags are matched in
+full, never by a prefix.  Every command is
 a pure function of (flags, config file, seed): repeated runs produce
 byte-identical output.  Exit codes: 0 success, 1 usage or data error
 (any ValueError), 2 numerical non-convergence or enumeration cap.
@@ -43,12 +46,13 @@ from .scenarios import (
     RECOVER_SENSING_STREAM,
     RECOVER_SIGNAL_STREAM,
     ExperimentConfig,
+    TrialRecord,
     build_dictionary,
     build_sensing,
     build_signal,
     default_config,
-    solver_config,
-    trial,
+    solve_trials,
+    trial_signal,
 )
 from .sensing import measure, noise_bound
 from .signals import metrics
@@ -83,8 +87,9 @@ def _parse_value(name: str, raw: str):
     return raw
 
 
-def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    """Parse 'key = value' lines; unknown keys are errors."""
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse 'key = value' lines over the experiment's defaults; unknown
+    keys are errors, and `overrides` win over the file's values."""
     values = {}
     known = _field_types()
     for lineno, line in enumerate(text.splitlines(), 1):
@@ -97,9 +102,9 @@ def parse_config(text: str, base: ExperimentConfig | None = None) -> ExperimentC
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
         values[key] = _parse_value(key, raw)
-    if base is None:
-        base = default_config(values.get("experiment", "noise-curve"))
-    return replace(base, **values)
+    values.update(overrides)
+    # one replace, so every check (the level rule too) sees the resolved config
+    return replace(default_config(values.get("experiment", "noise-curve")), **values)
 
 
 def serialize_config(cfg: ExperimentConfig) -> str:
@@ -206,33 +211,22 @@ def _convergence(*reports) -> tuple[int, ...]:
     return (*(int(r.converged) for r in reports), *(r.iterations for r in reports))
 
 
+def _rel(rec: TrialRecord, method: str) -> float:
+    return metrics(rec.reports[method].f_hat, rec.f)["relative_error"]
+
+
 def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    scfg = solver_config(cfg)
-
-    def one_trial(t: int):
-        errs = []
-        for li in range(len(cfg.sigmas)):
-            f, A, y, eps = trial(cfg, D, t, li)
-            plain = l1_analysis(A, D, y, eps, cfg=scfg)
-            rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
-            errs.append(
-                (
-                    metrics(plain.f_hat, f)["relative_error"],
-                    metrics(rw.f_hat, f)["relative_error"],
-                    int(plain.converged),
-                    int(rw.converged),
-                )
-            )
-        return errs
-
-    results = [one_trial(t) for t in range(cfg.trials)]
+    methods = ("analysis", "reweighted")
+    records = solve_trials(cfg, D, methods)
     rows = []
     for li, nu in enumerate(cfg.sigmas):
-        plain_mean = sum(r[li][0] for r in results) / cfg.trials
-        rw_mean = sum(r[li][1] for r in results) / cfg.trials
-        counts = (sum(r[li][2] for r in results), sum(r[li][3] for r in results))
-        rows.append((float(nu), plain_mean, rw_mean, *counts))
+        cell = records[li :: len(cfg.sigmas)]
+        rows.append((
+            float(nu),
+            *(sum(_rel(r, k) for r in cell) / cfg.trials for k in methods),
+            *(sum(int(r.reports[k].converged) for r in cell) for k in methods),
+        ))
     path = out / "noise_curve.csv"
     path.write_text(fio.table_to_csv(
         "sigma_rel,err_plain,err_rw,converged_plain,converged_rw", rows
@@ -242,21 +236,13 @@ def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    scfg = solver_config(cfg)
-
-    def one_trial(t: int):
-        # noise at the first level, relative as in noise-curve
-        f, A, y, eps = trial(cfg, D, t, 0 if cfg.sigmas else None)
-        plain = l1_analysis(A, D, y, eps, cfg=scfg)
-        rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
-        return f, plain, rw
-
-    results = [one_trial(t) for t in range(cfg.trials)]
+    records = solve_trials(cfg, D, ("analysis", "reweighted"))
     rows = []
-    for t, (f, plain, rw) in enumerate(results):
-        mp, mw = metrics(plain.f_hat, f), metrics(rw.f_hat, f)
+    for r in records:
+        plain, rw = r.reports["analysis"], r.reports["reweighted"]
+        mp, mw = metrics(plain.f_hat, r.f), metrics(rw.f_hat, r.f)
         rows.append(
-            (t, mp["rmse"], mw["rmse"], mp["relative_error"], mw["relative_error"],
+            (r.t, mp["rmse"], mw["rmse"], mp["relative_error"], mw["relative_error"],
              *_convergence(plain, rw))
         )
     summary = out / "radar_summary.csv"
@@ -265,54 +251,31 @@ def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
         "iterations_plain,iterations_rw", rows,
     ))
 
-    f, plain, rw = results[0]
+    r0 = records[0]
+    signals = [r0.f.samples, r0.reports["analysis"].f_hat.samples,
+               r0.reports["reweighted"].f_hat.samples]
     time_rows = [
-        (
-            t,
-            float(f.samples[t].real),
-            float(f.samples[t].imag),
-            float(plain.f_hat.samples[t].real),
-            float(plain.f_hat.samples[t].imag),
-            float(rw.f_hat.samples[t].real),
-            float(rw.f_hat.samples[t].imag),
-        )
+        (t, *(float(v) for x in signals for v in (x[t].real, x[t].imag)))
         for t in range(cfg.n)
     ]
     time_path = out / "radar_time.csv"
-    time_path.write_text(
-        fio.table_to_csv(
-            "t,true_re,true_im,plain_re,plain_im,rw_re,rw_im", time_rows
-        )
-    )
-    mag_true = np.abs(np.fft.fft(f.samples)) / math.sqrt(cfg.n)
-    mag_plain = np.abs(np.fft.fft(plain.f_hat.samples)) / math.sqrt(cfg.n)
-    mag_rw = np.abs(np.fft.fft(rw.f_hat.samples)) / math.sqrt(cfg.n)
-    freq_rows = [
-        (k, float(mag_true[k]), float(mag_plain[k]), float(mag_rw[k]))
-        for k in range(cfg.n)
-    ]
+    time_path.write_text(fio.table_to_csv(
+        "t,true_re,true_im,plain_re,plain_im,rw_re,rw_im", time_rows
+    ))
+    mags = [np.abs(np.fft.fft(x)) / math.sqrt(cfg.n) for x in signals]
+    freq_rows = [(k, *(float(mag[k]) for mag in mags)) for k in range(cfg.n)]
     freq_path = out / "radar_freq.csv"
-    freq_path.write_text(
-        fio.table_to_csv("k,true_mag,plain_mag,rw_mag", freq_rows)
-    )
+    freq_path.write_text(fio.table_to_csv("k,true_mag,plain_mag,rw_mag", freq_rows))
     return [summary, time_path, freq_path]
 
 
 def _exp_dirac_comb(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    scfg = solver_config(cfg)
-
-    def one_trial(t: int):
-        f, A, y, eps = trial(cfg, D, t)
-        rep = l1_analysis(A, D, y, eps, cfg=scfg)
-        return (
-            t,
-            metrics(rep.f_hat, f)["relative_error"],
-            rep.iterations,
-            int(rep.converged),
-        )
-
-    rows = [one_trial(t) for t in range(cfg.trials)]
+    rows = [
+        (r.t, _rel(r, "analysis"), r.reports["analysis"].iterations,
+         int(r.reports["analysis"].converged))
+        for r in solve_trials(cfg, D, ("analysis",))
+    ]
     path = out / "dirac_comb.csv"
     path.write_text(
         fio.table_to_csv("trial,relative_error,iterations,converged", rows)
@@ -333,7 +296,7 @@ def _exp_constants(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _exp_coefficient_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    f = trial(cfg, D, 0)[0]
+    f = trial_signal(cfg, D, 0)
     mags = np.sort(np.abs(D.adjoint(f.samples)))[::-1]
     rows = [(k, float(mags[k])) for k in range(mags.size)]
     path = out / "coefficient_decay.csv"
@@ -343,22 +306,12 @@ def _exp_coefficient_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
 
 def _exp_method_comparison(cfg: ExperimentConfig, out: Path) -> list[Path]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    scfg = solver_config(cfg)
-
-    def one_trial(t: int):
-        f, A, y, eps = trial(cfg, D, t)
-        ra = l1_analysis(A, D, y, eps, cfg=scfg)
-        rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
-        rs, _ = l1_synthesis(A, D, y, eps, cfg=scfg)
-        return (
-            t,
-            metrics(ra.f_hat, f)["relative_error"],
-            metrics(rw.f_hat, f)["relative_error"],
-            metrics(rs.f_hat, f)["relative_error"],
-            *_convergence(ra, rw, rs),
-        )
-
-    rows = [one_trial(t) for t in range(cfg.trials)]
+    methods = ("analysis", "reweighted", "synthesis")
+    rows = [
+        (r.t, *(_rel(r, k) for k in methods),
+         *_convergence(*(r.reports[k] for k in methods)))
+        for r in solve_trials(cfg, D, methods)
+    ]
     path = out / "method_comparison.csv"
     path.write_text(fio.table_to_csv(
         "trial,err_analysis,err_reweighted,err_synthesis,converged_analysis,"
@@ -380,28 +333,20 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig, Path], list[Path]]] = {
 
 
 def cmd_experiment(args) -> int:
-    base = default_config(args.name)
+    text = ""
     if args.config:
         path = Path(args.config)
         if not path.exists():
             raise ValueError(f"config file not found: {path}")
-        base = parse_config(path.read_text(), base=base)
-        if base.experiment != args.name:
-            base = replace(base, experiment=args.name)
-    overrides = {}
-    for key in (
-        "n", "m", "trials", "seed", "rw_iters", "max_iter", "oversampling",
-    ):
-        v = getattr(args, key, None)
-        if v is not None:
-            overrides[key] = v
+        text = path.read_text()
+    # flag -> config key: every flag by its own name, --dict as dict_kind
+    flags = dict(vars(args), dict_kind=args.dict)
+    keys = ("n", "m", "trials", "seed", "rw_iters", "max_iter", "oversampling",
+            "dict_kind", "signal")
+    overrides = {key: flags[key] for key in keys if flags[key] is not None}
     if args.sigmas is not None:
-        overrides["sigmas"] = tuple(float(p) for p in args.sigmas.split(","))
-    if args.dict is not None:
-        overrides["dict_kind"] = args.dict
-    if args.signal is not None:
-        overrides["signal"] = args.signal
-    cfg = replace(base, **overrides)
+        overrides["sigmas"] = _parse_value("sigmas", args.sigmas)
+    cfg = parse_config(text, experiment=args.name, **overrides)
 
     out = _out_dir(args.out or cfg.output_dir or None)
     (out / "config.txt").write_text(serialize_config(cfg))

@@ -1,11 +1,17 @@
-"""Experiment scenarios: the one place a trial is built.
+"""Experiment scenarios: the one place trials are built and solved.
 
 ``DEFAULTS`` holds each experiment's overrides of the ``ExperimentConfig``
-field defaults.  ``trial(cfg, D, t, li)`` draws trial t's signal, Gaussian
-A and noise from ``cfg.seed``'s streams SIGNAL_STREAM + t, SENSING_STREAM
-+ t and NOISE_STREAM + li * trials + t (t, 10_000 + t, 20_000 + li *
-trials + t); ``framecs recover`` uses streams 1, 2 and 3.  Past 10,000
-trials a signal reuses an earlier trial's sensing stream.
+field defaults.  Trial t draws its signal and Gaussian A once, from
+``cfg.seed``'s streams SIGNAL_STREAM + t and SENSING_STREAM + t (t and
+10_000 + t), and its noise at level index li from NOISE_STREAM + li *
+trials + t (20_000 + li * trials + t); ``framecs recover`` uses streams
+1, 2 and 3.  Past 10,000 trials a signal reuses an earlier trial's
+sensing stream.  ``solve_trials`` is the one loop over trials and levels:
+every solving experiment and acceptance batch reads its records.
+
+Levels are relative to the signal, finite and >= 0.  Every solving
+experiment takes at least one level, and those whose tables have no
+level column (radar, dirac-comb, method-comparison) exactly one.
 """
 
 from __future__ import annotations
@@ -21,7 +27,8 @@ from .rng import split_seed
 from .sensing import SensingOperator, from_descriptor, gaussian_sensing, measure
 from .signals import (PulseParams, Signal, compressible_signal, dirac_comb,
                       radar_pulse_train)
-from .solvers import SolverConfig
+from .solvers import (RecoveryReport, SolverConfig, l1_analysis, l1_synthesis,
+                      reweighted_l1_analysis)
 
 SIGNAL_STREAM = 0
 SENSING_STREAM = 10_000
@@ -29,8 +36,6 @@ NOISE_STREAM = 20_000
 RECOVER_SIGNAL_STREAM = 1
 RECOVER_SENSING_STREAM = 2
 RECOVER_NOISE_STREAM = 3
-# every experiment's starting tau/sigma (SolverConfig.step_ratio)
-STEP_RATIO = 0.25
 
 
 @dataclass(frozen=True)
@@ -69,6 +74,15 @@ class ExperimentConfig:
             )
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        name, levels = self.experiment, ",".join(map(repr, self.sigmas))
+        if not all(math.isfinite(x) and x >= 0.0 for x in self.sigmas):
+            raise ValueError(f"{name}: noise levels must be finite and >= 0, "
+                             f"got sigmas = {levels}")
+        if name in SOLVING and not self.sigmas:
+            raise ValueError(f"{name} needs a noise level; sigmas is empty")
+        if name in ONE_LEVEL and len(self.sigmas) > 1:
+            raise ValueError(f"{name} takes exactly one noise level (its tables "
+                             f"have no level column), got sigmas = {levels}")
 
 
 # the radar pulse train in the 8x redundant Gabor frame (paper Figs. 2-3)
@@ -87,6 +101,9 @@ DEFAULTS: dict[str, dict] = {
                               max_iter=8000),
 }
 EXPERIMENTS = tuple(DEFAULTS)
+# the experiments that solve; those with no level column at one level
+ONE_LEVEL = ("radar", "dirac-comb", "method-comparison")
+SOLVING = (*ONE_LEVEL, "noise-curve")
 
 
 def default_config(experiment: str) -> ExperimentConfig:
@@ -133,28 +150,68 @@ def build_signal(kind: str, n: int, D: Dictionary, params, seed: int) -> Signal:
 
 
 def solver_config(cfg: ExperimentConfig) -> SolverConfig:
-    return SolverConfig(
-        max_iter=cfg.max_iter,
-        tol_rel=cfg.tol_rel,
-        over_relaxation=cfg.over_relaxation,
-        step_ratio=STEP_RATIO,
-    )
+    return SolverConfig(max_iter=cfg.max_iter, tol_rel=cfg.tol_rel,
+                        over_relaxation=cfg.over_relaxation)
 
 
-def trial(
-    cfg: ExperimentConfig, D: Dictionary, t: int, li: int | None = None
-) -> tuple[Signal, SensingOperator, np.ndarray, float]:
-    """Trial t's (f, A, y, eps): y = A f + z at noise level cfg.sigmas[li],
-    relative to the signal (sigma = level * ||A f|| / sqrt(m)), and eps the
-    realized ||z||.  li=None measures without noise, eps = 0."""
-    f = build_signal(
+def trial_signal(cfg: ExperimentConfig, D: Dictionary, t: int) -> Signal:
+    return build_signal(
         cfg.signal, cfg.n, D, cfg, split_seed(cfg.seed, SIGNAL_STREAM + t)
     )
-    A = gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, SENSING_STREAM + t))
-    sigma, noise_seed = 0.0, 0
-    if li is not None:
-        af_norm = float(np.linalg.norm(A.apply(f.samples)))
-        sigma = cfg.sigmas[li] * af_norm / math.sqrt(cfg.m)
-        noise_seed = split_seed(cfg.seed, NOISE_STREAM + li * cfg.trials + t)
-    y, eps = measure(A, f.samples, sigma, noise_seed)
-    return f, A, y, eps
+
+
+def trial_sensing(cfg: ExperimentConfig, t: int) -> SensingOperator:
+    return gaussian_sensing(cfg.m, cfg.n, split_seed(cfg.seed, SENSING_STREAM + t))
+
+
+def trial_measure(
+    cfg: ExperimentConfig, A: SensingOperator, f: Signal, t: int, li: int
+) -> tuple[np.ndarray, float]:
+    """Trial t's (y, eps) at level cfg.sigmas[li]: y = A f + z, z of
+    standard deviation level * ||A f|| / sqrt(m), eps the realized ||z||.
+    Level 0 is the noiseless measurement, eps = 0."""
+    af_norm = float(np.linalg.norm(A.apply(f.samples)))
+    sigma = cfg.sigmas[li] * af_norm / math.sqrt(cfg.m)
+    noise_seed = split_seed(cfg.seed, NOISE_STREAM + li * cfg.trials + t)
+    return measure(A, f.samples, sigma, noise_seed)
+
+
+@dataclass(frozen=True)
+class TrialRecord:
+    """One (trial, level) cell: its instance and a report per method."""
+
+    t: int
+    level: float
+    f: Signal
+    A: SensingOperator
+    y: np.ndarray
+    eps: float
+    reports: dict[str, RecoveryReport]
+
+
+def _solve(method: str, cfg: ExperimentConfig, A, D, y, eps) -> RecoveryReport:
+    scfg = solver_config(cfg)
+    if method == "analysis":
+        return l1_analysis(A, D, y, eps, cfg=scfg)
+    if method == "reweighted":
+        return reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
+    if method == "synthesis":
+        return l1_synthesis(A, D, y, eps, cfg=scfg)[0]
+    raise ValueError(f"unknown method {method!r}; choose analysis, reweighted, "
+                     "synthesis")
+
+
+def solve_trials(
+    cfg: ExperimentConfig, D: Dictionary, methods: tuple[str, ...]
+) -> list[TrialRecord]:
+    """Every (trial, level) cell solved by each named method under
+    solver_config(cfg), trial-major: records[li::len(cfg.sigmas)] are
+    level li's trials in order."""
+    records = []
+    for t in range(cfg.trials):
+        f, A = trial_signal(cfg, D, t), trial_sensing(cfg, t)
+        for li, level in enumerate(cfg.sigmas):
+            y, eps = trial_measure(cfg, A, f, t, li)
+            reports = {name: _solve(name, cfg, A, D, y, eps) for name in methods}
+            records.append(TrialRecord(t, level, f, A, y, eps, reports))
+    return records

@@ -72,7 +72,9 @@ class SolverConfig:
     iterates feasible to roundoff, so the guard binds only when roundoff
     exceeds tol_feas.  over_relaxation is the relaxation factor in
     [1, 2).  step_ratio is the starting tau/sigma, which the engine
-    rebalances every iteration.
+    rebalances every iteration; every caller in the package starts at
+    the default 0.25.  The field stays only because the benchmark's
+    solver settings (perfbench/workloads.py) pass it by keyword.
     """
 
     max_iter: int = 20000
@@ -80,7 +82,7 @@ class SolverConfig:
     tol_feas: float | None = None
     over_relaxation: float = 1.0
     history: bool = False
-    step_ratio: float = 1.0
+    step_ratio: float = 0.25
 
     def __post_init__(self):
         if self.max_iter < 1:

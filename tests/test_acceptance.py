@@ -3,8 +3,10 @@ PASS/FAIL line (run with -s or -v to see them).
 
 The recovery-heavy criteria share three cached experiment batches (Dirac
 comb, Gabor noise sweep, desk radar), built from the default
-framecs.scenarios configurations, so the lemma audit can inspect every
-converged solve without re-running anything.
+framecs.scenarios configurations; the noise and radar batches are
+framecs.scenarios.solve_trials records, audited after their solves, so
+the lemma audit can inspect every converged solve without re-running
+anything.
 """
 
 import math
@@ -30,15 +32,11 @@ from framecs.frames import (
     gram_pnorm_factor,
 )
 from framecs.rng import make_rng, split_seed
-from framecs.scenarios import build_dictionary, default_config, solver_config, trial
+from framecs.scenarios import (build_dictionary, default_config, solve_trials,
+                               solver_config, trial_signal)
 from framecs.sensing import gaussian_sensing, measure
 from framecs.signals import metrics
-from framecs.solvers import (
-    SolverConfig,
-    l1_analysis,
-    l1_synthesis,
-    reweighted_l1_analysis,
-)
+from framecs.solvers import SolverConfig, l1_analysis, l1_synthesis, lemma_audit
 
 from oracles import analysis_lp_vertex_oracle, synthesis_lp_vertex_oracle
 
@@ -74,7 +72,7 @@ def _record(report, eps, cfg, y, cf_l1):
 def comb_batch():
     cfg = default_config("dirac-comb")
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    f = trial(cfg, D, 0)[0]  # the comb, the same in every trial
+    f = trial_signal(cfg, D, 0)  # the comb, the same in every trial
     s = 2 * math.isqrt(cfg.n)
     scfg = solver_config(cfg)
     cf_l1 = float(np.sum(np.abs(D.adjoint(f.samples))))
@@ -92,57 +90,53 @@ def comb_batch():
             "elapsed": time.monotonic() - t0}
 
 
-@pytest.fixture(scope="module")
-def noise_batch():
-    cfg, s = default_config("noise-curve"), 25
+def _audited_batch(name, s):
+    """The scenario's plain and reweighted solves, each audited at s
+    after its solve, as (cfg, trial records, SolveRecords, elapsed)."""
+    cfg = default_config(name)
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
     scfg = solver_config(cfg)
-    records = []
-    err_plain = np.zeros((len(cfg.sigmas), cfg.trials))
-    err_rw = np.zeros_like(err_plain)
     t0 = time.monotonic()
-    for t in range(cfg.trials):
-        for li in range(len(cfg.sigmas)):
-            f, A, y, eps = trial(cfg, D, t, li)
-            cf_l1 = float(np.sum(np.abs(D.adjoint(f.samples))))
-            plain = l1_analysis(A, D, y, eps, cfg=scfg, reference=f, audit_s=s)
-            rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters,
-                                        cfg=scfg, reference=f, audit_s=s)
-            records.append(_record(plain, eps, scfg, y, cf_l1))
-            records.append(_record(rw, eps, scfg, y, cf_l1))
-            err_plain[li, t] = metrics(plain.f_hat, f)["relative_error"]
-            err_rw[li, t] = metrics(rw.f_hat, f)["relative_error"]
+    trials = solve_trials(cfg, D, ("analysis", "reweighted"))
+    records = []
+    for tr in trials:
+        cf_l1 = float(np.sum(np.abs(D.adjoint(tr.f.samples))))
+        for rep in tr.reports.values():
+            rep.diagnostics = lemma_audit(tr.A, D, tr.f, rep.f_hat, tr.eps, s)
+            records.append(_record(rep, tr.eps, scfg, tr.y, cf_l1))
+    return cfg, trials, records, time.monotonic() - t0
+
+
+def _metric(trials, method, key):
+    return [metrics(tr.reports[method].f_hat, tr.f)[key] for tr in trials]
+
+
+@pytest.fixture(scope="module")
+def noise_batch():
+    cfg, trials, records, elapsed = _audited_batch("noise-curve", s=25)
+    levels = len(cfg.sigmas)
+
+    def mean_error(method):  # per level, over its trials
+        return np.array([_metric(trials[li::levels], method, "relative_error")
+                         for li in range(levels)]).mean(axis=1)
+
     return {
         "levels": np.asarray(cfg.sigmas),
-        "err_plain": err_plain.mean(axis=1),
-        "err_rw": err_rw.mean(axis=1),
+        "err_plain": mean_error("analysis"),
+        "err_rw": mean_error("reweighted"),
         "records": records,
-        "elapsed": time.monotonic() - t0,
+        "elapsed": elapsed,
     }
 
 
 @pytest.fixture(scope="module")
 def radar_batch():
-    cfg, s = default_config("radar"), 40
-    D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    scfg = solver_config(cfg)
-    records, rmse_plain, rmse_rw = [], [], []
-    t0 = time.monotonic()
-    for t in range(cfg.trials):
-        f, A, y, eps = trial(cfg, D, t, 0)
-        cf_l1 = float(np.sum(np.abs(D.adjoint(f.samples))))
-        plain = l1_analysis(A, D, y, eps, cfg=scfg, reference=f, audit_s=s)
-        rw = reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters,
-                                    cfg=scfg, reference=f, audit_s=s)
-        records.append(_record(plain, eps, scfg, y, cf_l1))
-        records.append(_record(rw, eps, scfg, y, cf_l1))
-        rmse_plain.append(metrics(plain.f_hat, f)["rmse"])
-        rmse_rw.append(metrics(rw.f_hat, f)["rmse"])
+    _, trials, records, elapsed = _audited_batch("radar", s=40)
     return {
-        "rmse_plain": rmse_plain,
-        "rmse_rw": rmse_rw,
+        "rmse_plain": _metric(trials, "analysis", "rmse"),
+        "rmse_rw": _metric(trials, "reweighted", "rmse"),
         "records": records,
-        "elapsed": time.monotonic() - t0,
+        "elapsed": elapsed,
     }
 
 

@@ -256,6 +256,65 @@ class TestExperimentCommand:
         text = (tmp_path / "o" / "config.txt").read_text()
         assert "trials = 1" in text and "n = 36" in text
 
+    @pytest.mark.parametrize("name", ["radar", "dirac-comb", "method-comparison"])
+    def test_level_free_experiment_rejects_two_levels_before_writing(
+        self, name, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        out.mkdir()
+        code, stdout, err = run_cli(
+            ["experiment", name, "--sigmas", "0.1,0.2", "--out", str(out)], capsys
+        )
+        assert code == 1 and stdout == ""
+        assert (f"framecs: error: {name} takes exactly one noise level (its tables "
+                "have no level column), got sigmas = 0.1,0.2") in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["noise-curve", "radar"])
+    def test_empty_sigmas_exits_1(self, name, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["experiment", name, "--sigmas", "", "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 1
+        assert f"framecs: error: {name} needs a noise level; sigmas is empty" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_empty_sigmas_config_key_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("sigmas =\n")
+        code, _, err = run_cli(
+            ["experiment", "radar", "--config", str(cfg), "--out", str(tmp_path / "o")],
+            capsys,
+        )
+        assert code == 1
+        assert "radar needs a noise level; sigmas is empty" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("sigmas", ["-0.1", "0.1,nan", "inf"])
+    def test_bad_level_exits_1_before_writing(self, sigmas, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["experiment", "noise-curve", f"--sigmas={sigmas}",
+             "--out", str(tmp_path / "o")], capsys,
+        )
+        assert code == 1
+        assert ("framecs: error: noise-curve: noise levels must be finite and "
+                ">= 0") in err
+        assert not (tmp_path / "o").exists()
+
+    def test_dirac_comb_solves_at_its_level(self, tmp_path, capsys):
+        args = ["experiment", "dirac-comb", "--n", "36", "--m", "20", "--trials", "2"]
+        assert run_cli(args + ["--out", str(tmp_path / "a")], capsys)[0] == 0
+        assert run_cli(args + ["--sigmas", "0.5", "--out", str(tmp_path / "b")],
+                       capsys)[0] == 0
+        assert "sigmas = 0.0\n" in (tmp_path / "a" / "config.txt").read_text()
+        assert "sigmas = 0.5\n" in (tmp_path / "b" / "config.txt").read_text()
+        noiseless, noisy = (
+            [ln.split(",") for ln in (tmp_path / d / "dirac_comb.csv").read_text()
+             .splitlines()[1:]] for d in "ab")
+        assert len(noiseless) == len(noisy) == 2
+        for quiet, loud in zip(noiseless, noisy):
+            assert float(quiet[1]) <= 1e-3 < float(loud[1])
+
     def test_config_oversampling_zero_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("oversampling = 0\n")
@@ -286,7 +345,7 @@ class TestExperimentCommand:
         assert "unknown key 's'" in err
 
     def test_step_ratio_config_key_is_rejected(self, tmp_path, capsys):
-        # every experiment starts at scenarios.STEP_RATIO; no key sets it
+        # every experiment starts at SolverConfig's default; no key sets it
         cfg = tmp_path / "cfg.txt"
         cfg.write_text("step_ratio = 0.25\n")
         code, _, err = run_cli(

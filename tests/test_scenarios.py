@@ -1,5 +1,5 @@
-"""The scenario registry: its seed streams, its trials, and the copies of
-its instances that live outside it.
+"""The scenario registry: its seed streams, its trial loop, and the copies
+of its instances that live outside it.
 
 perfbench/workloads.py keeps its own radar and noise instances.  The
 agreement tests read them without editing them, importing the benchmark
@@ -8,7 +8,7 @@ modules the way perfbench/test_perfbench.py imports src/.
 
 import math
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -22,12 +22,16 @@ from framecs.scenarios import (
     build_dictionary,
     build_signal,
     default_config,
+    solve_trials,
     solver_config,
-    trial,
+    trial_measure,
+    trial_sensing,
+    trial_signal,
 )
 from framecs.sensing import gaussian_sensing, measure
 from framecs.signals import PulseParams
-from framecs.solvers import SolverConfig
+from framecs.solvers import (SolverConfig, l1_analysis, l1_synthesis,
+                             reweighted_l1_analysis)
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -43,6 +47,12 @@ def assert_same_instance(f, A, y, eps, expected):
     assert eps == eps2
 
 
+def cell(cfg, D, t, li):
+    """Trial t's (f, A, y, eps) at level index li from the scenario builders."""
+    f, A = trial_signal(cfg, D, t), trial_sensing(cfg, t)
+    return (f, A, *trial_measure(cfg, A, f, t, li))
+
+
 def pulses_of(cfg):
     return PulseParams(num_pulses=cfg.pulses, duration=cfg.duration,
                        rise_fall=cfg.rise_fall, f_lo=cfg.f_lo, f_hi=cfg.f_hi)
@@ -54,7 +64,7 @@ class TestPerfbenchCopies:
         inputs = workloads.Radar().setup(1, tracing.NoTrace())
         (prob,) = inputs["probs"]
         D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-        assert_same_instance(prob.f, prob.A, prob.y, prob.eps, trial(cfg, D, 0, 0))
+        assert_same_instance(prob.f, prob.A, prob.y, prob.eps, cell(cfg, D, 0, 0))
 
     def test_noise_cells_are_the_scenario_trials(self):
         cfg = default_config("noise-curve")
@@ -64,7 +74,7 @@ class TestPerfbenchCopies:
         assert len(inputs["probs"]) == len(size.cells) == 5
         for (t, li), prob in zip(size.cells, inputs["probs"]):
             assert_same_instance(prob.f, prob.A, prob.y, prob.eps,
-                                 trial(cfg, D, t, li))
+                                 cell(cfg, D, t, li))
 
     @pytest.mark.parametrize("name, size", [
         ("radar", workloads.RadarSize()), ("noise-curve", workloads.NoiseSize()),
@@ -125,7 +135,7 @@ class TestTrial:
         cfg = ExperimentConfig(n=64, m=24, trials=3, seed=7, sigmas=(0.05, 0.1, 0.2),
                                dict_kind="concat-if", duration=32, rise_fall=8)
         D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-        f, A, y, eps = trial(cfg, D, t, li)
+        f, A, y, eps = cell(cfg, D, t, li)
         f2 = build_signal("radar", 64, D, cfg, split_seed(7, t))
         A2 = gaussian_sensing(24, 64, split_seed(7, 10_000 + t))
         sigma = cfg.sigmas[li] * float(np.linalg.norm(A2.apply(f2.samples))) / math.sqrt(24)
@@ -137,11 +147,86 @@ class TestTrial:
     def test_noiseless(self):
         cfg = default_config("method-comparison")
         D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-        f, A, y, eps = trial(cfg, D, 1)
+        f, A, y, eps = cell(cfg, D, 1, 0)
+        # the default level 0.0 is the noiseless measurement
+        assert cfg.sigmas == (0.0,)
         assert eps == 0.0
         assert y.tobytes() == A.apply(f.samples).tobytes()
-        # a zero level is the noiseless measurement
-        assert_same_instance(f, A, y, eps, trial(cfg, D, 1, 0))
+
+
+class TestSolveTrials:
+    CFG = ExperimentConfig(n=32, m=16, trials=2, seed=5, sigmas=(0.0, 0.05, 0.1),
+                           dict_kind="concat-if", duration=16, rise_fall=4,
+                           max_iter=300, rw_iters=2)
+
+    def test_builds_each_trial_once_and_measures_each_level(self, monkeypatch):
+        built = []
+
+        def counting(m, n, seed):
+            built.append(seed)
+            return gaussian_sensing(m, n, seed)
+
+        monkeypatch.setattr(scenarios, "gaussian_sensing", counting)
+        cfg = self.CFG
+        D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
+        records = solve_trials(cfg, D, ("analysis",))
+        assert built == [split_seed(5, 10_000), split_seed(5, 10_001)]
+        assert [(r.t, r.level) for r in records] == [
+            (t, level) for t in range(2) for level in cfg.sigmas]
+        for li in range(3):
+            assert [r.t for r in records[li::3]] == [0, 1]
+        for r in records:
+            assert r.A is records[3 * r.t].A and r.f is records[3 * r.t].f
+            li = cfg.sigmas.index(r.level)
+            _, _, y, eps = cell(cfg, D, r.t, li)
+            assert (r.y.tobytes(), r.eps) == (y.tobytes(), eps)
+
+    def test_reports_are_the_solvers_under_the_scenario_settings(self):
+        cfg = replace(self.CFG, trials=1, sigmas=(0.05,))
+        D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
+        (rec,) = solve_trials(cfg, D, ("analysis", "reweighted", "synthesis"))
+        scfg = solver_config(cfg)
+        expected = {
+            "analysis": l1_analysis(rec.A, D, rec.y, rec.eps, cfg=scfg),
+            "reweighted": reweighted_l1_analysis(rec.A, D, rec.y, rec.eps,
+                                                 rw_iters=2, cfg=scfg),
+            "synthesis": l1_synthesis(rec.A, D, rec.y, rec.eps, cfg=scfg)[0],
+        }
+        assert list(rec.reports) == list(expected)
+        for name, rep in rec.reports.items():
+            assert rep.f_hat.samples.tobytes() == expected[name].f_hat.samples.tobytes()
+            assert rep.iterations == expected[name].iterations
+
+    def test_unknown_method_is_rejected(self):
+        cfg = replace(self.CFG, trials=1, sigmas=(0.0,))
+        D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
+        with pytest.raises(ValueError, match="unknown method 'split'"):
+            solve_trials(cfg, D, ("split",))
+
+
+class TestLevelRule:
+    @pytest.mark.parametrize("level", [-0.1, math.inf, math.nan])
+    def test_levels_are_finite_and_nonnegative(self, level):
+        with pytest.raises(ValueError, match="noise-curve: noise levels must be "
+                           "finite and >= 0, got sigmas = 0.1,"):
+            ExperimentConfig(sigmas=(0.1, level))
+
+    @pytest.mark.parametrize("name", scenarios.SOLVING)
+    def test_solving_experiments_need_a_level(self, name):
+        with pytest.raises(ValueError, match=f"{name} needs a noise level; "
+                           "sigmas is empty"):
+            replace(default_config(name), sigmas=())
+
+    @pytest.mark.parametrize("name", ["radar", "dirac-comb", "method-comparison"])
+    def test_level_free_tables_take_exactly_one_level(self, name):
+        with pytest.raises(ValueError, match=f"{name} takes exactly one noise "
+                           "level .*, got sigmas = 0.1,0.2"):
+            replace(default_config(name), sigmas=(0.1, 0.2))
+        assert replace(default_config(name), sigmas=(0.3,)).sigmas == (0.3,)
+
+    @pytest.mark.parametrize("name", ["constants", "coefficient-decay"])
+    def test_experiments_that_do_not_solve_take_any_count(self, name):
+        assert replace(default_config(name), sigmas=()).sigmas == ()
 
 
 def test_every_experiment_has_a_runner_and_defaults():
