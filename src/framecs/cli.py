@@ -10,10 +10,12 @@ Three subcommands:
 Each experiment's settings come from ``framecs.scenarios``, and every
 solve of an experiment is a ``scenarios.solve_trials`` record; this
 module maps each experiment name to the runner that formats its tables
-from them.  Flags and the config file resolve into one checked
-``ExperimentConfig`` before anything is written.  Flags are matched in
-full, never by a prefix.  Every command is
-a pure function of (flags, config file, seed): repeated runs produce
+from them.  Dictionary, signal, sensing and method names are the keys
+of the ``scenarios`` tables.  Flags and the config file resolve into one
+checked ``ExperimentConfig`` before anything runs, and an experiment
+writes ``config.txt`` and its tables only after its runner returns.
+Flags are matched in full, never by a prefix.  Every command is a pure
+function of (flags, config file, seed): repeated runs produce
 byte-identical output.  Exit codes: 0 success, 1 usage or data error
 (any ValueError), 2 numerical non-convergence or enumeration cap.
 """
@@ -41,28 +43,27 @@ from .certify import (
 from .frames import coherence
 from .rng import split_seed
 from .scenarios import (
+    DICTIONARIES,
     EXPERIMENTS,
+    METHODS,
     RECOVER_NOISE_STREAM,
     RECOVER_SENSING_STREAM,
     RECOVER_SIGNAL_STREAM,
+    SENSING,
+    SIGNALS,
     ExperimentConfig,
     TrialRecord,
     build_dictionary,
     build_sensing,
     build_signal,
     default_config,
+    solve,
     solve_trials,
+    solver_config,
     trial_signal,
 )
 from .sensing import measure, noise_bound
 from .signals import metrics
-from .solvers import (
-    SolverConfig,
-    l1_analysis,
-    l1_synthesis,
-    reweighted_l1_analysis,
-    split_analysis,
-)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -73,17 +74,19 @@ def _field_types() -> dict[str, type]:
     return {f.name: f.type for f in fields(ExperimentConfig)}
 
 
-def _parse_value(name: str, raw: str):
+def _parse_value(name: str, raw: str, where: str = ""):
+    """`raw` as field `name`'s type; errors name `where`, the key and `raw`."""
     raw = raw.strip()
-    if name == "sigmas":
-        if not raw:
-            return ()
-        return tuple(float(p) for p in raw.split(","))
-    ftype = _field_types()[name]
-    if ftype in (int, "int"):
-        return int(raw)
-    if ftype in (float, "float"):
-        return float(raw)
+    try:
+        if name == "sigmas":
+            return tuple(float(p) for p in raw.split(",")) if raw else ()
+        ftype = _field_types()[name]
+        if ftype in (int, "int"):
+            return int(raw)
+        if ftype in (float, "float"):
+            return float(raw)
+    except ValueError as exc:
+        raise ValueError(f"{where}{name} = {raw}: {exc}") from None
     return raw
 
 
@@ -101,7 +104,7 @@ def parse_config(text: str, **overrides) -> ExperimentConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in known:
             raise ValueError(f"config line {lineno}: unknown key {key!r}")
-        values[key] = _parse_value(key, raw)
+        values[key] = _parse_value(key, raw, f"config line {lineno}: ")
     values.update(overrides)
     # one replace, so every check (the level rule too) sees the resolved config
     return replace(default_config(values.get("experiment", "noise-curve")), **values)
@@ -134,20 +137,18 @@ def cmd_recover(args) -> int:
     if args.audit_s is not None and args.audit_s < 1:
         raise ValueError(f"--audit-s must be >= 1, got {args.audit_s}")
     n, m = args.n, args.m
-    D = build_dictionary(args.dict, n, args)
-    if args.method == "split":
-        D2 = build_dictionary(args.dict2, n, args)
+    kinds = (args.dict, args.dict2)[: METHODS[args.method].dictionaries]
+    dicts = tuple(build_dictionary(kind, n, args) for kind in kinds)
     A = build_sensing(
         args.sensing, m, n, split_seed(args.seed, RECOVER_SENSING_STREAM)
     )
 
-    audit_s = None
-    if args.signal in ("dirac", "radar", "compressible"):
-        f = build_signal(
-            args.signal, n, D, args, split_seed(args.seed, RECOVER_SIGNAL_STREAM)
-        )
-        if args.signal == "dirac":
-            audit_s = 2 * math.isqrt(n)
+    audit_s = args.audit_s
+    if args.signal in SIGNALS:
+        f = build_signal(args.signal, n, dicts[0], args,
+                         split_seed(args.seed, RECOVER_SIGNAL_STREAM))
+        if audit_s is None:
+            audit_s = SIGNALS[args.signal].audit_s(n)
     else:
         path = Path(args.signal)
         if not path.exists():
@@ -157,8 +158,6 @@ def cmd_recover(args) -> int:
             raise ValueError(
                 f"dimension mismatch: signal length {f.n} but --n is {n}"
             )
-    if args.audit_s is not None:
-        audit_s = args.audit_s
 
     y, znorm = measure(
         A, f.samples, args.sigma, split_seed(args.seed, RECOVER_NOISE_STREAM)
@@ -170,25 +169,9 @@ def cmd_recover(args) -> int:
     else:
         eps = znorm
 
-    cfg = SolverConfig(
-        max_iter=args.max_iter,
-        tol_rel=args.tol_rel,
-        over_relaxation=args.over_relaxation,
-        history=args.history,
-    )
-    if args.method == "analysis":
-        report = l1_analysis(A, D, y, eps, cfg=cfg, reference=f, audit_s=audit_s)
-    elif args.method == "reweighted":
-        report = reweighted_l1_analysis(
-            A, D, y, eps, rw_iters=args.rw_iters, cfg=cfg, reference=f,
-            audit_s=audit_s,
-        )
-    elif args.method == "synthesis":
-        report, _ = l1_synthesis(A, D, y, eps, cfg=cfg, reference=f, audit_s=audit_s)
-    else:
-        report, _, _ = split_analysis(
-            A, D, D2, y, eps, cfg=cfg, reference=f, audit_s=audit_s
-        )
+    cfg = replace(solver_config(args), history=args.history)
+    report = solve(args.method, A, dicts, y, eps, cfg, args.rw_iters,
+                   reference=f, audit_s=audit_s)
 
     rel = metrics(report.f_hat, f)["relative_error"]
     text = fio.report_to_json(report, relative_error=rel)
@@ -215,7 +198,7 @@ def _rel(rec: TrialRecord, method: str) -> float:
     return metrics(rec.reports[method].f_hat, rec.f)["relative_error"]
 
 
-def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _exp_noise_curve(cfg: ExperimentConfig) -> dict[str, str]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
     methods = ("analysis", "reweighted")
     records = solve_trials(cfg, D, methods)
@@ -227,14 +210,12 @@ def _exp_noise_curve(cfg: ExperimentConfig, out: Path) -> list[Path]:
             *(sum(_rel(r, k) for r in cell) / cfg.trials for k in methods),
             *(sum(int(r.reports[k].converged) for r in cell) for k in methods),
         ))
-    path = out / "noise_curve.csv"
-    path.write_text(fio.table_to_csv(
+    return {"noise_curve.csv": fio.table_to_csv(
         "sigma_rel,err_plain,err_rw,converged_plain,converged_rw", rows
-    ))
-    return [path]
+    )}
 
 
-def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _exp_radar(cfg: ExperimentConfig) -> dict[str, str]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
     records = solve_trials(cfg, D, ("analysis", "reweighted"))
     rows = []
@@ -245,12 +226,6 @@ def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
             (r.t, mp["rmse"], mw["rmse"], mp["relative_error"], mw["relative_error"],
              *_convergence(plain, rw))
         )
-    summary = out / "radar_summary.csv"
-    summary.write_text(fio.table_to_csv(
-        "trial,rmse_plain,rmse_rw,rel_plain,rel_rw,converged_plain,converged_rw,"
-        "iterations_plain,iterations_rw", rows,
-    ))
-
     r0 = records[0]
     signals = [r0.f.samples, r0.reports["analysis"].f_hat.samples,
                r0.reports["reweighted"].f_hat.samples]
@@ -258,71 +233,62 @@ def _exp_radar(cfg: ExperimentConfig, out: Path) -> list[Path]:
         (t, *(float(v) for x in signals for v in (x[t].real, x[t].imag)))
         for t in range(cfg.n)
     ]
-    time_path = out / "radar_time.csv"
-    time_path.write_text(fio.table_to_csv(
-        "t,true_re,true_im,plain_re,plain_im,rw_re,rw_im", time_rows
-    ))
     mags = [np.abs(np.fft.fft(x)) / math.sqrt(cfg.n) for x in signals]
     freq_rows = [(k, *(float(mag[k]) for mag in mags)) for k in range(cfg.n)]
-    freq_path = out / "radar_freq.csv"
-    freq_path.write_text(fio.table_to_csv("k,true_mag,plain_mag,rw_mag", freq_rows))
-    return [summary, time_path, freq_path]
+    return {
+        "radar_summary.csv": fio.table_to_csv(
+            "trial,rmse_plain,rmse_rw,rel_plain,rel_rw,converged_plain,converged_rw,"
+            "iterations_plain,iterations_rw", rows),
+        "radar_time.csv": fio.table_to_csv(
+            "t,true_re,true_im,plain_re,plain_im,rw_re,rw_im", time_rows),
+        "radar_freq.csv": fio.table_to_csv("k,true_mag,plain_mag,rw_mag", freq_rows),
+    }
 
 
-def _exp_dirac_comb(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _exp_dirac_comb(cfg: ExperimentConfig) -> dict[str, str]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
     rows = [
         (r.t, _rel(r, "analysis"), r.reports["analysis"].iterations,
          int(r.reports["analysis"].converged))
         for r in solve_trials(cfg, D, ("analysis",))
     ]
-    path = out / "dirac_comb.csv"
-    path.write_text(
-        fio.table_to_csv("trial,relative_error,iterations,converged", rows)
-    )
-    return [path]
+    return {"dirac_comb.csv":
+            fio.table_to_csv("trial,relative_error,iterations,converged", rows)}
 
 
-def _exp_constants(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _exp_constants(cfg: ExperimentConfig) -> dict[str, str]:
     rows = []
     for k in range(1, 13):  # delta = 0.05 .. 0.60
         delta = k / 20.0
         rep = theorem_constants_from_delta(delta)
         rows.append((delta, rep.C0, rep.C1))
-    path = out / "constants.csv"
-    path.write_text(fio.table_to_csv("delta,C0,C1", rows))
-    return [path]
+    return {"constants.csv": fio.table_to_csv("delta,C0,C1", rows)}
 
 
-def _exp_coefficient_decay(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _exp_coefficient_decay(cfg: ExperimentConfig) -> dict[str, str]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
     f = trial_signal(cfg, D, 0)
     mags = np.sort(np.abs(D.adjoint(f.samples)))[::-1]
     rows = [(k, float(mags[k])) for k in range(mags.size)]
-    path = out / "coefficient_decay.csv"
-    path.write_text(fio.table_to_csv("rank,magnitude", rows))
-    return [path]
+    return {"coefficient_decay.csv": fio.table_to_csv("rank,magnitude", rows)}
 
 
-def _exp_method_comparison(cfg: ExperimentConfig, out: Path) -> list[Path]:
+def _exp_method_comparison(cfg: ExperimentConfig) -> dict[str, str]:
     D = build_dictionary(cfg.dict_kind, cfg.n, cfg)
-    methods = ("analysis", "reweighted", "synthesis")
+    # every method that takes one dictionary, in table order
+    methods = tuple(k for k, v in METHODS.items() if v.dictionaries == 1)
     rows = [
         (r.t, *(_rel(r, k) for k in methods),
          *_convergence(*(r.reports[k] for k in methods)))
         for r in solve_trials(cfg, D, methods)
     ]
-    path = out / "method_comparison.csv"
-    path.write_text(fio.table_to_csv(
-        "trial,err_analysis,err_reweighted,err_synthesis,converged_analysis,"
-        "converged_reweighted,converged_synthesis,iterations_analysis,"
-        "iterations_reweighted,iterations_synthesis", rows,
-    ))
-    return [path]
+    header = ",".join(["trial"] + [f"{col}_{k}" for col in
+                                   ("err", "converged", "iterations") for k in methods])
+    return {"method_comparison.csv": fio.table_to_csv(header, rows)}
 
 
-# name -> runner, keyed as scenarios.DEFAULTS
-_RUNNERS: dict[str, Callable[[ExperimentConfig, Path], list[Path]]] = {
+# name -> runner, keyed as scenarios.DEFAULTS; each returns file name -> text
+_RUNNERS: dict[str, Callable[[ExperimentConfig], dict[str, str]]] = {
     "radar": _exp_radar,
     "dirac-comb": _exp_dirac_comb,
     "noise-curve": _exp_noise_curve,
@@ -339,20 +305,21 @@ def cmd_experiment(args) -> int:
         if not path.exists():
             raise ValueError(f"config file not found: {path}")
         text = path.read_text()
-    # flag -> config key: every flag by its own name, --dict as dict_kind
-    flags = dict(vars(args), dict_kind=args.dict)
+    # each flag's dest is its config key
     keys = ("n", "m", "trials", "seed", "rw_iters", "max_iter", "oversampling",
             "dict_kind", "signal")
-    overrides = {key: flags[key] for key in keys if flags[key] is not None}
+    overrides = {k: getattr(args, k) for k in keys if getattr(args, k) is not None}
     if args.sigmas is not None:
         overrides["sigmas"] = _parse_value("sigmas", args.sigmas)
     cfg = parse_config(text, experiment=args.name, **overrides)
 
+    # the directory first, so that an unwritable path fails before any
+    # solve; the files only once the runner has returned every table
     out = _out_dir(args.out or cfg.output_dir or None)
-    (out / "config.txt").write_text(serialize_config(cfg))
-    paths = _RUNNERS[cfg.experiment](cfg, out)
-    for p in [out / "config.txt"] + paths:
-        sys.stdout.write(str(p) + "\n")
+    files = {"config.txt": serialize_config(cfg), **_RUNNERS[cfg.experiment](cfg)}
+    for name, body in files.items():
+        (out / name).write_text(body)
+    sys.stdout.write("".join(f"{out / name}\n" for name in files))
     return EXIT_OK
 
 
@@ -362,25 +329,18 @@ def cmd_experiment(args) -> int:
 
 def cmd_certify(args) -> int:
     n = args.n
-    if args.what == "coherence":
-        D = build_dictionary(args.dict, n, args)
-        sys.stdout.write(repr(coherence(D)) + "\n")
-        return EXIT_OK
-
     if args.what == "concentration":
-        kind = args.sensing
-        v = np.ones(n, dtype=complex)
         rate = concentration_check(
-            lambda child: build_sensing(kind, args.m, n, child),
-            v,
-            args.delta,
-            args.trials,
-            args.seed,
+            lambda child: build_sensing(args.sensing, args.m, n, child),
+            np.ones(n, dtype=complex), args.delta, args.trials, args.seed,
         )
         sys.stdout.write(repr(rate) + "\n")
         return EXIT_OK
 
     D = build_dictionary(args.dict, n, args)
+    if args.what == "coherence":
+        sys.stdout.write(repr(coherence(D)) + "\n")
+        return EXIT_OK
     A = build_sensing(args.sensing, args.m, n, args.seed)
     s_list = [int(p) for p in str(args.s).split(",")]
     rows = []
@@ -409,8 +369,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_dict_flags(p):
-    p.add_argument("--dict", default="concat-if",
-                   help="identity | dft | concat-if | gabor")
+    p.add_argument("--dict", default="concat-if", help=" | ".join(DICTIONARIES))
     p.add_argument("--oversampling", type=int, default=None)
     p.add_argument("--gabor-sigma", dest="gabor_sigma", type=float, default=8.0)
     p.add_argument("--gabor-a", dest="gabor_a", type=int, default=8)
@@ -424,16 +383,16 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     rec = sub.add_parser("recover", help="run one recovery", allow_abbrev=False)
-    rec.add_argument("--method", required=True,
-                     choices=["analysis", "reweighted", "synthesis", "split"])
+    rec.add_argument("--method", required=True, choices=list(METHODS))
     _add_dict_flags(rec)
-    rec.add_argument("--dict2", default="dft", help="second dictionary for split")
+    rec.add_argument("--dict2", default="dft",
+                     help="second dictionary for a method that takes two: "
+                     + " | ".join(DICTIONARIES))
     rec.add_argument("--n", type=int, required=True)
     rec.add_argument("--m", type=int, required=True)
     rec.add_argument("--signal", default="dirac",
-                     help="dirac | radar | compressible | path.csv")
-    rec.add_argument("--sensing", default="gaussian",
-                     choices=["gaussian", "bernoulli", "fourier"])
+                     help=" | ".join([*SIGNALS, "path.csv"]))
+    rec.add_argument("--sensing", default="gaussian", choices=list(SENSING))
     rec.add_argument("--sigma", type=float, default=0.0, help="noise std dev")
     rec.add_argument("--eps", type=float, default=None,
                      help="fixed constraint radius (default: realized noise)")
@@ -470,8 +429,9 @@ def build_parser() -> _Parser:
     exp.add_argument("--sigmas", default=None, help="comma-separated levels")
     exp.add_argument("--max-iter", dest="max_iter", type=int, default=None)
     exp.add_argument("--oversampling", type=int, default=None)
-    exp.add_argument("--dict", default=None)
-    exp.add_argument("--signal", default=None)
+    exp.add_argument("--dict", dest="dict_kind", default=None,
+                     help=" | ".join(DICTIONARIES))
+    exp.add_argument("--signal", default=None, help=" | ".join(SIGNALS))
     exp.add_argument("--out", default=None)
     exp.set_defaults(func=cmd_experiment)
 
@@ -487,8 +447,7 @@ def build_parser() -> _Parser:
     cer.add_argument("--trials", type=int, default=1000)
     cer.add_argument("--delta", type=float, default=0.5)
     cer.add_argument("--seed", type=int, default=1)
-    cer.add_argument("--sensing", default="gaussian",
-                     choices=["gaussian", "bernoulli", "fourier"])
+    cer.add_argument("--sensing", default="gaussian", choices=list(SENSING))
     cer.set_defaults(func=cmd_certify)
 
     return parser

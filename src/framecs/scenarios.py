@@ -1,5 +1,9 @@
 """Experiment scenarios: the one place trials are built and solved.
 
+Each kind the CLI and the experiments pick by name is spelled once, as a
+key of its table: ``DICTIONARIES``, ``SIGNALS``, ``SENSING`` (the CLI's
+sensing kinds) and ``METHODS`` (the programs ``solve`` runs).
+
 ``DEFAULTS`` holds each experiment's overrides of the ``ExperimentConfig``
 field defaults.  Trial t draws its signal and Gaussian A once, from
 ``cfg.seed``'s streams SIGNAL_STREAM + t and SENSING_STREAM + t (t and
@@ -18,17 +22,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .frames import (Dictionary, build_concat, build_gabor, build_identity,
                      build_oversampled_dft)
 from .rng import split_seed
-from .sensing import SensingOperator, from_descriptor, gaussian_sensing, measure
+from .sensing import (SensingOperator, bernoulli_sensing, gaussian_sensing,
+                      measure, subsampled_dft_sign)
 from .signals import (PulseParams, Signal, compressible_signal, dirac_comb,
                       radar_pulse_train)
 from .solvers import (RecoveryReport, SolverConfig, l1_analysis, l1_synthesis,
-                      reweighted_l1_analysis)
+                      reweighted_l1_analysis, split_analysis)
 
 SIGNAL_STREAM = 0
 SENSING_STREAM = 10_000
@@ -36,6 +42,70 @@ NOISE_STREAM = 20_000
 RECOVER_SIGNAL_STREAM = 1
 RECOVER_SENSING_STREAM = 2
 RECOVER_NOISE_STREAM = 3
+
+
+def _lookup(table: dict, kind: str, what: str):
+    """table[kind], or a ValueError naming `what` and every known kind."""
+    if kind not in table:
+        raise ValueError(f"unknown {what} {kind!r}; choose {', '.join(table)}")
+    return table[kind]
+
+
+# dictionary kind -> its frame of length n; `c` carries the oversampling
+# factor (None means 1) and the Gabor lattice
+DICTIONARIES: dict[str, Callable[[int, Any], Dictionary]] = {
+    "identity": lambda n, c: build_identity(n),
+    "dft": lambda n, c: build_oversampled_dft(
+        n, 1 if c.oversampling is None else c.oversampling),
+    "concat-if": lambda n, c: build_concat(
+        build_identity(n), build_oversampled_dft(n, 1), 1.0 / math.sqrt(2.0)),
+    "gabor": lambda n, c: build_gabor(n, c.gabor_sigma, c.gabor_a, c.gabor_b),
+}
+
+
+class SignalKind(NamedTuple):
+    build: Callable[[int, Dictionary, Any, int], Signal]  # (n, D, params, seed)
+    # recover's default lemma-audit sparsity at length n; None: m // 4
+    audit_s: Callable[[int], int | None] = lambda n: None
+
+
+# signal kind -> how to build it; `params` carries the pulse and decay settings
+SIGNALS: dict[str, SignalKind] = {
+    # sqrt(n) spikes, each one identity and one DFT atom of concat-if
+    "dirac": SignalKind(lambda n, D, p, seed: dirac_comb(n),
+                        lambda n: 2 * math.isqrt(n)),
+    "compressible": SignalKind(
+        lambda n, D, p, seed: compressible_signal(D, p.q_decay, seed)[1]),
+    "radar": SignalKind(lambda n, D, p, seed: radar_pulse_train(n, PulseParams(
+        num_pulses=p.pulses, duration=p.duration, rise_fall=p.rise_fall,
+        f_lo=p.f_lo, f_hi=p.f_hi, seed=seed))),
+}
+
+# the CLI's sensing kind -> its constructor (m, n, seed)
+SENSING: dict[str, Callable[[int, int, int], SensingOperator]] = {
+    "gaussian": gaussian_sensing,
+    "bernoulli": bernoulli_sensing,
+    "fourier": subsampled_dft_sign,
+}
+
+
+class Method(NamedTuple):
+    dictionaries: int
+    program: Callable[..., RecoveryReport]
+
+
+# recovery method -> how many dictionaries it takes and its solvers
+# program, called (A, dicts, y, eps, cfg, rw_iters, reference=, audit_s=)
+METHODS: dict[str, Method] = {
+    "analysis": Method(1, lambda A, Ds, y, eps, cfg, rw, **kw:
+                       l1_analysis(A, *Ds, y, eps, cfg, **kw)),
+    "reweighted": Method(1, lambda A, Ds, y, eps, cfg, rw, **kw:
+                         reweighted_l1_analysis(A, *Ds, y, eps, rw, cfg, **kw)),
+    "synthesis": Method(1, lambda A, Ds, y, eps, cfg, rw, **kw:
+                        l1_synthesis(A, *Ds, y, eps, cfg, **kw)[0]),
+    "split": Method(2, lambda A, Ds, y, eps, cfg, rw, **kw:
+                    split_analysis(A, *Ds, y, eps, cfg, **kw)[0]),
+}
 
 
 @dataclass(frozen=True)
@@ -67,11 +137,9 @@ class ExperimentConfig:
     over_relaxation: float = 1.8
 
     def __post_init__(self):
-        if self.experiment not in DEFAULTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; choose from "
-                + ", ".join(DEFAULTS)
-            )
+        _lookup(DEFAULTS, self.experiment, "experiment")
+        _lookup(DICTIONARIES, self.dict_kind, "dictionary kind")
+        _lookup(SIGNALS, self.signal, "signal kind")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         name, levels = self.experiment, ",".join(map(repr, self.sigmas))
@@ -111,45 +179,28 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 
 def build_dictionary(kind: str, n: int, cfg_like) -> Dictionary:
-    if kind == "identity":
-        return build_identity(n)
-    if kind == "dft":
-        c = cfg_like.oversampling
-        return build_oversampled_dft(n, 1 if c is None else c)
-    if kind == "concat-if":
-        return build_concat(
-            build_identity(n), build_oversampled_dft(n, 1), 1.0 / math.sqrt(2.0)
-        )
-    if kind == "gabor":
-        return build_gabor(
-            n, cfg_like.gabor_sigma, cfg_like.gabor_a, cfg_like.gabor_b
-        )
-    raise ValueError(
-        f"unknown dictionary kind {kind!r}; choose identity, dft, concat-if, gabor"
-    )
+    return _lookup(DICTIONARIES, kind, "dictionary kind")(n, cfg_like)
 
 
 def build_sensing(kind: str, m: int, n: int, seed: int) -> SensingOperator:
-    """The CLI spells the subsampled_dft_sign descriptor kind "fourier"."""
-    if kind == "fourier":
-        kind = "subsampled_dft_sign"
-    return from_descriptor({"kind": kind, "m": m, "n": n, "seed": seed})
+    return _lookup(SENSING, kind, "sensing kind")(m, n, seed)
 
 
 def build_signal(kind: str, n: int, D: Dictionary, params, seed: int) -> Signal:
-    """A dirac comb, a compressible signal in D, or (any other kind) the
-    radar pulse train; `params` carries the pulse and decay settings."""
-    if kind == "dirac":
-        return dirac_comb(n)
-    if kind == "compressible":
-        return compressible_signal(D, params.q_decay, seed)[1]
-    return radar_pulse_train(n, PulseParams(
-        num_pulses=params.pulses, duration=params.duration,
-        rise_fall=params.rise_fall, f_lo=params.f_lo, f_hi=params.f_hi, seed=seed,
-    ))
+    return _lookup(SIGNALS, kind, "signal kind").build(n, D, params, seed)
 
 
-def solver_config(cfg: ExperimentConfig) -> SolverConfig:
+def solve(method: str, A: SensingOperator, dicts: tuple[Dictionary, ...], y,
+          eps: float, cfg: SolverConfig, rw_iters: int, reference=None,
+          audit_s: int | None = None) -> RecoveryReport:
+    """The report of `method` on (A, dicts, y, eps); the methods known here
+    are those that take len(dicts) dictionaries."""
+    known = {k: v for k, v in METHODS.items() if v.dictionaries == len(dicts)}
+    return _lookup(known, method, "method").program(
+        A, dicts, y, eps, cfg, rw_iters, reference=reference, audit_s=audit_s)
+
+
+def solver_config(cfg) -> SolverConfig:
     return SolverConfig(max_iter=cfg.max_iter, tol_rel=cfg.tol_rel,
                         over_relaxation=cfg.over_relaxation)
 
@@ -189,29 +240,19 @@ class TrialRecord:
     reports: dict[str, RecoveryReport]
 
 
-def _solve(method: str, cfg: ExperimentConfig, A, D, y, eps) -> RecoveryReport:
-    scfg = solver_config(cfg)
-    if method == "analysis":
-        return l1_analysis(A, D, y, eps, cfg=scfg)
-    if method == "reweighted":
-        return reweighted_l1_analysis(A, D, y, eps, rw_iters=cfg.rw_iters, cfg=scfg)
-    if method == "synthesis":
-        return l1_synthesis(A, D, y, eps, cfg=scfg)[0]
-    raise ValueError(f"unknown method {method!r}; choose analysis, reweighted, "
-                     "synthesis")
-
-
 def solve_trials(
     cfg: ExperimentConfig, D: Dictionary, methods: tuple[str, ...]
 ) -> list[TrialRecord]:
     """Every (trial, level) cell solved by each named method under
     solver_config(cfg), trial-major: records[li::len(cfg.sigmas)] are
     level li's trials in order."""
+    scfg = solver_config(cfg)
     records = []
     for t in range(cfg.trials):
         f, A = trial_signal(cfg, D, t), trial_sensing(cfg, t)
         for li, level in enumerate(cfg.sigmas):
             y, eps = trial_measure(cfg, A, f, t, li)
-            reports = {name: _solve(name, cfg, A, D, y, eps) for name in methods}
+            reports = {name: solve(name, A, (D,), y, eps, scfg, cfg.rw_iters)
+                       for name in methods}
             records.append(TrialRecord(t, level, f, A, y, eps, reports))
     return records

@@ -399,7 +399,6 @@ def lemma_audit(
     D: Dictionary,
     f_true: np.ndarray | Signal,
     f_hat: np.ndarray | Signal,
-    eps: float,
     s: int,
     block_size: int | None = None,
 ) -> LemmaAudit:
@@ -447,7 +446,7 @@ def _report(method, A, D, d, eps, f_hat, res, reference, audit_s) -> RecoveryRep
     diagnostics = None
     if reference is not None:
         s = audit_s if audit_s is not None else max(1, A.m // 4)
-        diagnostics = lemma_audit(A, D, reference, f_hat.samples, eps, s)
+        diagnostics = lemma_audit(A, D, reference, f_hat.samples, s)
     return RecoveryReport(
         method, A.n, d, A.m, float(eps), f_hat, float(np.sum(np.abs(res.kx))),
         res.feasibility, res.iterations, res.converged, diagnostics, res.history,

@@ -102,7 +102,7 @@ def _audited_batch(name, s):
     for tr in trials:
         cf_l1 = float(np.sum(np.abs(D.adjoint(tr.f.samples))))
         for rep in tr.reports.values():
-            rep.diagnostics = lemma_audit(tr.A, D, tr.f, rep.f_hat, tr.eps, s)
+            rep.diagnostics = lemma_audit(tr.A, D, tr.f, rep.f_hat, s)
             records.append(_record(rep, tr.eps, scfg, tr.y, cf_l1))
     return cfg, trials, records, time.monotonic() - t0
 

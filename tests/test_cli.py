@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import shlex
@@ -7,13 +8,17 @@ import numpy as np
 import pytest
 
 from framecs.cli import build_parser, main, parse_config, serialize_config
-from framecs.scenarios import ExperimentConfig, build_dictionary, default_config
+from framecs.scenarios import (DICTIONARIES, METHODS, SENSING, SIGNALS,
+                               ExperimentConfig, build_dictionary, default_config)
 from framecs.certify import ENUMERATION_CAP, drip_exact_small
 from framecs.frames import build_concat, build_identity, build_oversampled_dft
-from framecs.io import signal_to_csv
-from framecs.sensing import bernoulli_sensing, subsampled_dft_sign
-from framecs.signals import Signal, dirac_comb
-from framecs.rng import make_rng
+from framecs.io import report_to_json, signal_to_csv
+from framecs.sensing import (bernoulli_sensing, gaussian_sensing, measure,
+                             subsampled_dft_sign)
+from framecs.signals import Signal, dirac_comb, metrics
+from framecs.solvers import (SolverConfig, l1_analysis, l1_synthesis,
+                             reweighted_l1_analysis, split_analysis)
+from framecs.rng import make_rng, split_seed
 
 
 def run_cli(args, capsys):
@@ -301,6 +306,67 @@ class TestExperimentCommand:
                 ">= 0") in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, config", [
+        (["--n", "0"], None),
+        (["--m", "0"], None),
+        (["--rw-iters", "0"], None),
+        (["--max-iter", "0"], None),
+        (["--dict", "foo"], None),
+        ([], "gabor_b = 0.03\n"),
+    ])
+    def test_failed_experiment_writes_nothing(self, argv, config, tmp_path, capsys):
+        out = tmp_path / "o"
+        out.mkdir()
+        if config is not None:
+            (tmp_path / "cfg.txt").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "cfg.txt")]
+        code, stdout, err = run_cli(
+            ["experiment", "noise-curve", "--trials", "1", *argv, "--out", str(out)],
+            capsys,
+        )
+        assert code == 1 and stdout == ""
+        assert err.startswith("framecs: error: ")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name, flag, kind, message", [
+        ("radar", "--signal", "dirca",
+         "unknown signal kind 'dirca'; choose dirac, compressible, radar"),
+        ("noise-curve", "--dict", "wavelet",
+         "unknown dictionary kind 'wavelet'; choose identity, dft, concat-if, gabor"),
+    ])
+    def test_unknown_kind_exits_1_before_writing(
+        self, name, flag, kind, message, tmp_path, capsys
+    ):
+        out = tmp_path / "o"
+        out.mkdir()
+        code, stdout, err = run_cli(
+            ["experiment", name, flag, kind, "--out", str(out)], capsys)
+        assert code == 1 and stdout == ""
+        assert err == f"framecs: error: {message}\n"
+        assert list(out.iterdir()) == []
+
+    def test_malformed_sigmas_names_the_key(self, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["experiment", "noise-curve", "--sigmas", "0.1,,0.2",
+             "--out", str(tmp_path / "o")], capsys,
+        )
+        assert code == 1
+        assert err == ("framecs: error: sigmas = 0.1,,0.2: could not convert "
+                       "string to float: ''\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_malformed_config_value_names_its_line_and_key(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("n = abc\n")
+        code, _, err = run_cli(
+            ["experiment", "dirac-comb", "--config", str(cfg),
+             "--out", str(tmp_path / "o")], capsys,
+        )
+        assert code == 1
+        assert err == ("framecs: error: config line 1: n = abc: invalid literal "
+                       "for int() with base 10: 'abc'\n")
+        assert not (tmp_path / "o").exists()
+
     def test_dirac_comb_solves_at_its_level(self, tmp_path, capsys):
         args = ["experiment", "dirac-comb", "--n", "36", "--m", "20", "--trials", "2"]
         assert run_cli(args + ["--out", str(tmp_path / "a")], capsys)[0] == 0
@@ -573,6 +639,61 @@ def readme_commands():
     lines = block.replace("\\\n", " ").splitlines()
     return [shlex.split(ln, comments=True)[1:] for ln in lines
             if ln.startswith("framecs ")]
+
+
+def subcommand_choices(command, dest):
+    """The argparse choices of `command`'s option stored in `dest`."""
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    (action,) = [a for a in sub.choices[command]._actions if a.dest == dest]
+    return action.choices
+
+
+class TestKindTables:
+    def test_choices_are_the_table_keys(self):
+        assert subcommand_choices("recover", "method") == list(METHODS)
+        assert subcommand_choices("recover", "sensing") == list(SENSING)
+        assert subcommand_choices("certify", "sensing") == list(SENSING)
+
+    def test_every_readme_kind_is_in_its_table(self):
+        tables = {"dict": DICTIONARIES, "dict2": DICTIONARIES,
+                  "dict_kind": DICTIONARIES, "signal": SIGNALS,
+                  "sensing": SENSING, "method": METHODS}
+        named = set()
+        for argv in readme_commands():
+            args = vars(build_parser().parse_args(argv))
+            for dest, table in tables.items():
+                if args.get(dest) is not None:
+                    assert args[dest] in table, (argv, dest)
+                    named.add(args[dest])
+        assert {"concat-if", "gabor", "dirac", "radar", "analysis",
+                "reweighted"} <= named
+
+    @pytest.mark.parametrize("method", list(METHODS))
+    def test_recover_report_is_the_programs(self, method, tmp_path, capsys):
+        n, m, seed = 16, 12, 3
+        run_cli(["recover", "--method", method, "--dict", "concat-if",
+                 "--dict2", "dft", "--n", str(n), "--m", str(m), "--signal", "dirac",
+                 "--sigma", "0.05", "--rw-iters", "2", "--max-iter", "300",
+                 "--seed", str(seed), "--out", str(tmp_path)], capsys)
+        D = build_concat(
+            build_identity(n), build_oversampled_dft(n, 1), 1 / math.sqrt(2))
+        A = gaussian_sensing(m, n, split_seed(seed, 2))
+        f = dirac_comb(n)
+        y, eps = measure(A, f.samples, 0.05, split_seed(seed, 3))
+        kw = dict(cfg=SolverConfig(max_iter=300, tol_rel=1e-6, over_relaxation=1.8),
+                  reference=f, audit_s=2 * math.isqrt(n))
+        report = {
+            "analysis": lambda: l1_analysis(A, D, y, eps, **kw),
+            "reweighted": lambda: reweighted_l1_analysis(A, D, y, eps, 2, **kw),
+            "synthesis": lambda: l1_synthesis(A, D, y, eps, **kw)[0],
+            "split": lambda: split_analysis(
+                A, D, build_oversampled_dft(n, 1), y, eps, **kw)[0],
+        }[method]()
+        rel = metrics(report.f_hat, f)["relative_error"]
+        assert report.method == method
+        assert (tmp_path / "report.json").read_bytes() == report_to_json(
+            report, relative_error=rel).encode()
 
 
 class TestReadmeCli:

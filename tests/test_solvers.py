@@ -362,7 +362,7 @@ class TestLemmaAudit:
         )
         A = gaussian_sensing(12, n, seed=3)
         f = dirac_comb(n)
-        audit = lemma_audit(A, D, f.samples, f.samples, eps=0.0, s=8)
+        audit = lemma_audit(A, D, f.samples, f.samples, s=8)
         assert audit.tube_norm == 0.0
         assert audit.cone_slack <= 0.0
         assert audit.tail_lhs == 0.0
@@ -395,7 +395,7 @@ class TestLemmaAudit:
         ft = rng.standard_normal(n) + 0j
         fh = ft + 0.1 * (rng.standard_normal(n) + 0j)
         s, M = 3, 6
-        audit = lemma_audit(A, D, ft, fh, eps=0.0, s=s, block_size=M)
+        audit = lemma_audit(A, D, ft, fh, s=s, block_size=M)
         ch = D.adjoint(ft - fh)
         cf = D.adjoint(ft)
         t0 = np.argsort(-np.abs(cf), kind="stable")[:s]
@@ -418,7 +418,7 @@ class TestLemmaAudit:
         A = gaussian_sensing(4, 8, seed=1)
         f = np.ones(8, complex)
         with pytest.raises(ValueError, match="block_size must be >= 1"):
-            lemma_audit(A, D, f, f, eps=0.0, s=2, block_size=block_size)
+            lemma_audit(A, D, f, f, s=2, block_size=block_size)
 
 
 class TestEngineVsOracleTiny:
