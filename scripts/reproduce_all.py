@@ -11,7 +11,8 @@ import argparse
 import sys
 import time
 
-from framecs.cli import EXPERIMENTS, main as cli_main
+from framecs.cli import main as cli_main
+from framecs.scenarios import EXPERIMENTS
 
 
 def run(argv=None):

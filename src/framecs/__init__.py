@@ -55,7 +55,6 @@ from .solvers import (
     l1_synthesis,
     lemma_audit,
     reweighted_l1_analysis,
-    soft_threshold,
     split_analysis,
 )
 

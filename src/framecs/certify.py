@@ -407,10 +407,13 @@ def concentration_check(
 
     Draws a fresh operator per trial (factory receives the trial's child
     seed) and counts how often ||Av||^2 leaves
-    [(1-delta)||v||^2, (1+delta)||v||^2].
+    [(1-delta)||v||^2, (1+delta)||v||^2].  delta must be finite and >= 0;
+    above 1 only the upper side can fail.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValueError("delta must be finite and >= 0")
     v = np.asarray(v, dtype=complex)
     ref = float(np.linalg.norm(v) ** 2)
     failures = 0

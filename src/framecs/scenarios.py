@@ -1,8 +1,12 @@
-"""Experiment scenarios: the one place trials are built and solved.
+"""Experiment scenarios: the one place settings are declared and trials
+are built and solved.
 
 Each kind the CLI and the experiments pick by name is spelled once, as a
 key of its table: ``DICTIONARIES``, ``SIGNALS``, ``SENSING`` (the CLI's
-sensing kinds) and ``METHODS`` (the programs ``solve`` runs).
+sensing kinds) and ``METHODS`` (the programs ``solve`` runs).  Each
+setting is declared once, in ``SETTINGS``; ``*_FLAGS`` pick each
+subcommand's flags and defaults, which resolve into a checked config
+before any builder runs.
 
 ``DEFAULTS`` holds each experiment's overrides of the ``ExperimentConfig``
 field defaults.  Trial t draws its signal and Gaussian A once, from
@@ -21,7 +25,8 @@ level column (radar, dirac-comb, method-comparison) exactly one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, make_dataclass, replace
+from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
 import numpy as np
@@ -108,51 +113,6 @@ METHODS: dict[str, Method] = {
 }
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Flat experiment configuration; file values are overridden by flags."""
-
-    experiment: str = "noise-curve"
-    n: int = 256
-    m: int = 100
-    oversampling: int = 4
-    sigmas: tuple[float, ...] = (0.02, 0.05, 0.1, 0.15, 0.25)
-    trials: int = 5
-    rw_iters: int = 3
-    seed: int = 1
-    output_dir: str = ""
-    dict_kind: str = "gabor"
-    signal: str = "radar"
-    gabor_sigma: float = 8.0
-    gabor_a: int = 8
-    gabor_b: float = 1.0 / 32.0
-    pulses: int = 1
-    duration: int = 96
-    rise_fall: int = 24
-    f_lo: float = 0.05
-    f_hi: float = 0.45
-    q_decay: float = 1.5
-    max_iter: int = 6000
-    tol_rel: float = 1e-5
-    over_relaxation: float = 1.8
-
-    def __post_init__(self):
-        _lookup(DEFAULTS, self.experiment, "experiment")
-        _lookup(DICTIONARIES, self.dict_kind, "dictionary kind")
-        _lookup(SIGNALS, self.signal, "signal kind")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        name, levels = self.experiment, ",".join(map(repr, self.sigmas))
-        if not all(math.isfinite(x) and x >= 0.0 for x in self.sigmas):
-            raise ValueError(f"{name}: noise levels must be finite and >= 0, "
-                             f"got sigmas = {levels}")
-        if name in SOLVING and not self.sigmas:
-            raise ValueError(f"{name} needs a noise level; sigmas is empty")
-        if name in ONE_LEVEL and len(self.sigmas) > 1:
-            raise ValueError(f"{name} takes exactly one noise level (its tables "
-                             f"have no level column), got sigmas = {levels}")
-
-
 # the radar pulse train in the 8x redundant Gabor frame (paper Figs. 2-3)
 _RADAR = dict(n=1024, oversampling=8, gabor_sigma=16.0, gabor_a=8,
               gabor_b=1.0 / 64.0, pulses=3, duration=128, rise_fall=32)
@@ -174,8 +134,211 @@ ONE_LEVEL = ("radar", "dirac-comb", "method-comparison")
 SOLVING = (*ONE_LEVEL, "noise-curve")
 
 
+# ---------------------------------------------------------------------------
+# settings
+
+
+class Setting(NamedTuple):
+    """`parse` reads the setting's text; `check(flag, value)` raises a
+    ValueError outside its domain; `flag` spells it when that is not --key
+    with '-' for '_' (a positional has no '-'); argparse lists `choices`."""
+
+    parse: Callable[[str], Any]
+    default: Any = None
+    help: str | None = None
+    check: Callable[[str, Any], None] | None = None
+    flag: str = ""
+    choices: list[str] | None = None
+
+
+def _floats(text: str) -> tuple[float, ...]:
+    return tuple(float(p) for p in text.split(",")) if text.strip() else ()
+
+
+def _ints(text: str) -> tuple[int, ...]:
+    return tuple(int(p) for p in text.split(","))
+
+
+def _at_least_1(flag: str, v) -> None:
+    if v is not None and v < 1:
+        raise ValueError(f"{flag} must be >= 1, got {v}")
+
+
+def _finite_nonnegative(flag: str, v) -> None:
+    if v is not None and not (math.isfinite(v) and v >= 0.0):
+        raise ValueError(f"{flag} must be finite and >= 0, got {v}")
+
+
+_DICTIONARY = Setting(str, "gabor", " | ".join(DICTIONARIES),
+                      lambda flag, v: _lookup(DICTIONARIES, v, "dictionary kind"))
+
+# ExperimentConfig's fields: the config file's keys, in config.txt order
+_CONFIG: dict[str, Setting] = {
+    "experiment": Setting(str, "noise-curve", flag="name", choices=list(EXPERIMENTS),
+                          check=lambda flag, v: _lookup(DEFAULTS, v, "experiment")),
+    "n": Setting(int, 256, "signal length"),
+    "m": Setting(int, 100, "number of measurements"),
+    "oversampling": Setting(int, 4, "redundancy of the dft dictionary"),
+    "sigmas": Setting(_floats, (0.02, 0.05, 0.1, 0.15, 0.25),
+                      "comma-separated noise levels, relative to the signal"),
+    "trials": Setting(int, 5, check=_at_least_1),
+    "rw_iters": Setting(int, 3, "reweighting rounds", _at_least_1),
+    "seed": Setting(int, 1),
+    "output_dir": Setting(str, ""),
+    "dict_kind": _DICTIONARY._replace(flag="--dict"),
+    "signal": Setting(str, "radar", " | ".join([*SIGNALS, "path.csv (recover)"])),
+    "gabor_sigma": Setting(float, 8.0, "Gaussian window width"),
+    "gabor_a": Setting(int, 8, "time step a"),
+    "gabor_b": Setting(float, 1.0 / 32.0, "frequency step b: 1/b must be an "
+                       "integer Q with a | Q | n (a = --gabor-a)"),
+    "pulses": Setting(int, 1),
+    "duration": Setting(int, 96),
+    "rise_fall": Setting(int, 24),
+    "f_lo": Setting(float, 0.05),
+    "f_hi": Setting(float, 0.45),
+    "q_decay": Setting(float, 1.5, "decay exponent of a compressible signal"),
+    "max_iter": Setting(int, 6000, check=lambda flag, v: SolverConfig(max_iter=v)),
+    "tol_rel": Setting(float, 1e-5, check=lambda flag, v: SolverConfig(tol_rel=v)),
+    "over_relaxation": Setting(
+        float, 1.8, check=lambda flag, v: SolverConfig(over_relaxation=v)),
+}
+# every setting, declared once
+SETTINGS: dict[str, Setting] = {
+    **_CONFIG,
+    "method": Setting(str, choices=list(METHODS)),
+    "what": Setting(str, flag="what",
+                    choices=["coherence", "drip-mc", "drip-exact", "concentration"]),
+    "dict": _DICTIONARY._replace(default="concat-if"),
+    "dict2": _DICTIONARY._replace(default="dft", help="second dictionary for a "
+                                  "method that takes two: " + _DICTIONARY.help),
+    "sensing": Setting(str, "gaussian", choices=list(SENSING)),
+    "sigma": Setting(float, 0.0, "noise std dev", _finite_nonnegative),
+    "eps": Setting(float, None, "fixed constraint radius (default: realized noise)",
+                   _finite_nonnegative),
+    "eps_rule": Setting(str, "realized", choices=["realized", "percentile"]),
+    "audit_s": Setting(int, None, "lemma-audit sparsity", _at_least_1),
+    "s": Setting(_ints, "2", "sparsity level(s), comma-separated"),
+    "delta": Setting(float, 0.5),
+    "history": Setting(bool, False, "also write per-iteration history.csv"),
+    "out": Setting(str, None, "output directory (default: $FRAMECS_OUT or out)"),
+    "config": Setting(str, None, "key = value file"),
+}
+REQUIRED = object()  # a flag default: the flag must be given
+
+
+def flag(key: str) -> str:
+    return SETTINGS[key].flag or "--" + key.replace("_", "-")
+
+
+def parse_setting(key: str, text: str, where: str = ""):
+    """`text` as setting `key`'s value; errors name `where`, the key and `text`."""
+    try:
+        return SETTINGS[key].parse(text)
+    except ValueError as exc:
+        raise ValueError(f"{where}{key} = {text}: {exc}") from None
+
+
+def _flags(keys: str, **defaults) -> dict[str, Any]:
+    return {k: defaults.get(k, SETTINGS[k].default) for k in keys.split()}
+
+
+# each subcommand's flags: setting -> the flag's default.  An experiment's
+# flags default to None, so that its config file and DEFAULTS fill them.
+RECOVER_FLAGS = _flags(
+    "method dict oversampling gabor_sigma gabor_a gabor_b dict2 n m signal "
+    "sensing sigma eps eps_rule rw_iters seed audit_s pulses duration rise_fall "
+    "f_lo f_hi q_decay max_iter tol_rel over_relaxation history out",
+    method=REQUIRED, oversampling=None, n=REQUIRED, m=REQUIRED, signal="dirac",
+    pulses=3, duration=128, rise_fall=32, max_iter=20000, tol_rel=1e-6)
+EXPERIMENT_FLAGS = dict.fromkeys(
+    "experiment config n m trials seed rw_iters sigmas max_iter oversampling "
+    "dict_kind signal out".split())
+CERTIFY_FLAGS = _flags(
+    "what dict oversampling gabor_sigma gabor_a gabor_b n m s trials delta seed "
+    "sensing", oversampling=None, n=REQUIRED, m=None, trials=1000)
+
+
+def _config_class(name: str, doc: str, keys, rule, defaults: bool = False) -> type:
+    """A frozen dataclass with a field per setting in `keys`, at its declared
+    default if `defaults`; each instance passes each field's check and `rule`."""
+    def post_init(self):
+        for key in keys:
+            if SETTINGS[key].check is not None:
+                SETTINGS[key].check(flag(key), getattr(self, key))
+        rule(self)
+
+    return make_dataclass(
+        name, [(k, Any, field(default=SETTINGS[k].default)) if defaults else (k, Any)
+               for k in keys],
+        frozen=True,
+        namespace={"__doc__": doc, "__module__": __name__, "__post_init__": post_init})
+
+
+def _experiment_rule(cfg) -> None:
+    _lookup(SIGNALS, cfg.signal, "signal kind")
+    name, levels = cfg.experiment, ",".join(map(repr, cfg.sigmas))
+    if not all(math.isfinite(x) and x >= 0.0 for x in cfg.sigmas):
+        raise ValueError(f"{name}: noise levels must be finite and >= 0, "
+                         f"got sigmas = {levels}")
+    if name in SOLVING and not cfg.sigmas:
+        raise ValueError(f"{name} needs a noise level; sigmas is empty")
+    if name in ONE_LEVEL and len(cfg.sigmas) > 1:
+        raise ValueError(f"{name} takes exactly one noise level (its tables "
+                         f"have no level column), got sigmas = {levels}")
+
+
+def _recover_rule(cfg) -> None:
+    if cfg.signal not in SIGNALS and not Path(cfg.signal).is_file():
+        raise ValueError(f"signal file not found: {Path(cfg.signal)}")
+
+
+def _certify_rule(cfg) -> None:
+    if cfg.what != "coherence" and cfg.m is None:
+        raise ValueError(f"certify {cfg.what} requires --m")
+
+
+ExperimentConfig = _config_class(
+    "ExperimentConfig", "An experiment's settings: DEFAULTS, then the config "
+    "file, then flags.", _CONFIG, _experiment_rule, defaults=True)
+RecoverConfig = _config_class(
+    "RecoverConfig", "framecs recover's flags.", RECOVER_FLAGS, _recover_rule)
+CertifyConfig = _config_class(
+    "CertifyConfig", "framecs certify's flags.", CERTIFY_FLAGS, _certify_rule)
+
+
 def default_config(experiment: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, **DEFAULTS.get(experiment, {}))
+
+
+def parse_config(text: str, **overrides) -> ExperimentConfig:
+    """Parse 'key = value' lines over the experiment's defaults; unknown
+    keys are errors, and `overrides` win over the file's values."""
+    values = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        if "=" not in stripped:
+            raise ValueError(f"config line {lineno}: expected 'key = value'")
+        key, raw = (part.strip() for part in stripped.split("=", 1))
+        if key not in _CONFIG:
+            raise ValueError(f"config line {lineno}: unknown key {key!r}")
+        values[key] = parse_setting(key, raw, f"config line {lineno}: ")
+    values.update(overrides)
+    # one replace, so every check (the level rule too) sees the resolved config
+    return replace(default_config(values.get("experiment", "noise-curve")), **values)
+
+
+def serialize_config(cfg) -> str:
+    lines = []
+    for f in fields(cfg):
+        v = getattr(cfg, f.name)
+        if isinstance(v, tuple):
+            v = ",".join(map(repr, v))
+        elif isinstance(v, float):
+            v = repr(v)
+        lines.append(f"{f.name} = {v}")
+    return "\n".join(lines) + "\n"
 
 
 def build_dictionary(kind: str, n: int, cfg_like) -> Dictionary:

@@ -164,8 +164,8 @@ def measure(
     with independent real/imag parts of variance sigma^2/2, so that
     E||z||^2 = m*sigma^2 either way.
     """
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0.0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     f = np.asarray(f, dtype=complex)
     y = A.apply(f)
     if sigma == 0.0:

@@ -52,7 +52,6 @@ __all__ = [
     "reweighted_l1_analysis",
     "l1_synthesis",
     "split_analysis",
-    "soft_threshold",
     "lemma_audit",
 ]
 
@@ -139,22 +138,6 @@ class RecoveryReport:
 
 # ---------------------------------------------------------------------------
 # proximal primitives
-
-
-def soft_threshold(
-    v: np.ndarray, lam: float, weights: np.ndarray | float = 1.0
-) -> np.ndarray:
-    """Shrink each complex entry's modulus by lam*w_i, preserving phase."""
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
-    v = np.asarray(v, dtype=complex)
-    thresh = lam * np.asarray(weights, dtype=float)
-    if np.any(thresh < 0):
-        raise ValueError("weights must be nonnegative")
-    mags = np.abs(v)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(mags > 0.0, np.maximum(mags - thresh, 0.0) / mags, 0.0)
-    return v * scale
 
 
 def _clip_modulus(v: np.ndarray, bound: np.ndarray | float) -> np.ndarray:
@@ -458,8 +441,8 @@ def _report(method, A, D, d, eps, f_hat, res, reference, audit_s) -> RecoveryRep
 
 
 def _check_inputs(A, y, eps, *dicts):
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError(f"eps must be finite and >= 0, got {eps}")
     for D in dicts:
         if A.n != D.n:
             raise ValueError(

@@ -656,6 +656,25 @@ class TestConcentration:
         ]
         assert rates[0] >= rates[1] >= rates[2]
 
+    @pytest.mark.parametrize("delta", [-1.0, -1e-9, math.nan, math.inf])
+    def test_meaningless_delta_is_rejected_before_the_first_draw(self, delta):
+        drawn = []
+
+        def factory(seed):
+            drawn.append(seed)
+            return gaussian_sensing(6, 8, seed=seed)
+
+        with pytest.raises(ValueError, match="delta must be finite and >= 0"):
+            concentration_check(factory, np.ones(8), delta, trials=5, seed=1)
+        assert drawn == []
+
+    def test_delta_above_one_fails_only_above(self):
+        # (1 - delta) ||v||^2 < 0 <= ||Av||^2, so only the upper side can fail
+        rate = concentration_check(
+            lambda seed: gaussian_sensing(2, 8, seed=seed), np.ones(8),
+            delta=1.5, trials=200, seed=4)
+        assert 0.0 < rate < 1.0
+
 
 class TestTheoremConstants:
     def test_paper_half_delta(self):

@@ -1,12 +1,19 @@
 import argparse
 import json
 import math
+import io
 import shlex
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from framecs import scenarios
 from framecs.cli import build_parser, main, parse_config, serialize_config
 from framecs.scenarios import (DICTIONARIES, METHODS, SENSING, SIGNALS,
                                ExperimentConfig, build_dictionary, default_config)
@@ -717,3 +724,259 @@ class TestReadmeCli:
             argv[argv.index("--out") + 1] = str(tmp_path)
         code, _, err = run_cli(argv, capsys)
         assert code == 0, err
+
+
+# Each subcommand's flags as the parser declares them: option (or
+# positional) -> (dest, default, choices, required).  Scripts and README
+# commands rely on these names and defaults.
+FLAG_SURFACE = {
+    "recover": {
+        "--method": ("method", None, ["analysis", "reweighted", "synthesis", "split"],
+                     True),
+        "--dict": ("dict", "concat-if", None, False),
+        "--oversampling": ("oversampling", None, None, False),
+        "--gabor-sigma": ("gabor_sigma", 8.0, None, False),
+        "--gabor-a": ("gabor_a", 8, None, False),
+        "--gabor-b": ("gabor_b", 0.03125, None, False),
+        "--dict2": ("dict2", "dft", None, False),
+        "--n": ("n", None, None, True),
+        "--m": ("m", None, None, True),
+        "--signal": ("signal", "dirac", None, False),
+        "--sensing": ("sensing", "gaussian", ["gaussian", "bernoulli", "fourier"], False),
+        "--sigma": ("sigma", 0.0, None, False),
+        "--eps": ("eps", None, None, False),
+        "--eps-rule": ("eps_rule", "realized", ["realized", "percentile"], False),
+        "--rw-iters": ("rw_iters", 3, None, False),
+        "--seed": ("seed", 1, None, False),
+        "--audit-s": ("audit_s", None, None, False),
+        "--pulses": ("pulses", 3, None, False),
+        "--duration": ("duration", 128, None, False),
+        "--rise-fall": ("rise_fall", 32, None, False),
+        "--f-lo": ("f_lo", 0.05, None, False),
+        "--f-hi": ("f_hi", 0.45, None, False),
+        "--q-decay": ("q_decay", 1.5, None, False),
+        "--max-iter": ("max_iter", 20000, None, False),
+        "--tol-rel": ("tol_rel", 1e-06, None, False),
+        "--over-relaxation": ("over_relaxation", 1.8, None, False),
+        "--history": ("history", False, None, False),
+        "--out": ("out", None, None, False),
+    },
+    "experiment": {
+        "name": ("name", None, ["radar", "dirac-comb", "noise-curve", "constants",
+                                "coefficient-decay", "method-comparison"], True),
+        "--config": ("config", None, None, False),
+        **{f"--{key.replace('_', '-')}": (key, None, None, False) for key in (
+            "n", "m", "trials", "seed", "rw_iters", "sigmas", "max_iter",
+            "oversampling", "signal", "out")},
+        "--dict": ("dict_kind", None, None, False),
+    },
+    "certify": {
+        "what": ("what", None, ["coherence", "drip-mc", "drip-exact", "concentration"],
+                 True),
+        "--dict": ("dict", "concat-if", None, False),
+        "--oversampling": ("oversampling", None, None, False),
+        "--gabor-sigma": ("gabor_sigma", 8.0, None, False),
+        "--gabor-a": ("gabor_a", 8, None, False),
+        "--gabor-b": ("gabor_b", 0.03125, None, False),
+        "--n": ("n", None, None, True),
+        "--m": ("m", None, None, False),
+        "--s": ("s", "2", None, False),
+        "--trials": ("trials", 1000, None, False),
+        "--delta": ("delta", 0.5, None, False),
+        "--seed": ("seed", 1, None, False),
+        "--sensing": ("sensing", "gaussian", ["gaussian", "bernoulli", "fourier"], False),
+    },
+}
+
+# the config file's keys, in config.txt order
+CONFIG_KEYS = [
+    "experiment", "n", "m", "oversampling", "sigmas", "trials", "rw_iters", "seed",
+    "output_dir", "dict_kind", "signal", "gabor_sigma", "gabor_a", "gabor_b",
+    "pulses", "duration", "rise_fall", "f_lo", "f_hi", "q_decay", "max_iter",
+    "tol_rel", "over_relaxation",
+]
+
+
+class TestFlagSurface:
+    @pytest.mark.parametrize("command", list(FLAG_SURFACE))
+    def test_flags_keep_their_names_dests_and_defaults(self, command):
+        (sub,) = [a for a in build_parser()._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        surface = {
+            (a.option_strings[0] if a.option_strings else a.dest):
+            (a.dest, a.default, None if a.choices is None else list(a.choices),
+             a.required)
+            for a in sub.choices[command]._actions
+            if not isinstance(a, argparse._HelpAction)
+        }
+        assert surface == FLAG_SURFACE[command]
+        # 8 == 8.0, so the default's type is pinned too
+        assert {k: type(v[1]) for k, v in surface.items()} == {
+            k: type(v[1]) for k, v in FLAG_SURFACE[command].items()}
+
+    def test_config_keys(self):
+        assert [f.name for f in fields(ExperimentConfig)] == CONFIG_KEYS
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """The kinds every DICTIONARIES, SIGNALS and SENSING builder (and the
+    trials' Gaussian A) is called with, in call order."""
+    calls = []
+
+    def spy(kind, build):
+        return lambda *a: calls.append(kind) or build(*a)
+
+    for table in (scenarios.DICTIONARIES, scenarios.SENSING):
+        for kind, build in list(table.items()):
+            monkeypatch.setitem(table, kind, spy(kind, build))
+    for kind, sk in list(scenarios.SIGNALS.items()):
+        monkeypatch.setitem(scenarios.SIGNALS, kind, sk._replace(build=spy(kind, sk.build)))
+    monkeypatch.setattr(scenarios, "gaussian_sensing",
+                        spy("trial gaussian", scenarios.gaussian_sensing))
+    return calls
+
+
+RECOVER = ["recover", "--method", "analysis", "--n", "16", "--m", "8"]
+
+
+class TestChecksRunBeforeAnyBuilder:
+    @pytest.mark.parametrize("argv, message", [
+        (["experiment", "radar", "--rw-iters", "0", "--trials", "1"],
+         "--rw-iters must be >= 1, got 0"),
+        ([*RECOVER, "--rw-iters", "0"], "--rw-iters must be >= 1, got 0"),
+        ([*RECOVER, "--audit-s", "0"], "--audit-s must be >= 1, got 0"),
+        ([*RECOVER, "--sigma", "-1"], "--sigma must be finite and >= 0, got -1.0"),
+        ([*RECOVER, "--sigma", "nan"], "--sigma must be finite and >= 0, got nan"),
+        ([*RECOVER, "--sigma", "inf"], "--sigma must be finite and >= 0, got inf"),
+        ([*RECOVER, "--eps", "nan"], "--eps must be finite and >= 0, got nan"),
+        ([*RECOVER, "--eps", "inf"], "--eps must be finite and >= 0, got inf"),
+        ([*RECOVER, "--max-iter", "0"], "max_iter must be >= 1"),
+        ([*RECOVER, "--tol-rel", "0"], "tol_rel must be > 0"),
+        ([*RECOVER, "--over-relaxation", "2"], "over_relaxation must lie in [1, 2)"),
+        (["certify", "drip-mc", "--n", "8", "--m", "6", "--s", "2,,3"],
+         "s = 2,,3: invalid literal for int() with base 10: ''"),
+        (["certify", "drip-mc", "--n", "8"], "certify drip-mc requires --m"),
+        ([*RECOVER, "--signal", "."], "signal file not found: ."),
+        (["experiment", "constants", "--config", "."], "config file not found: ."),
+    ])
+    def test_exits_1_before_building(self, argv, message, builder_calls, tmp_path,
+                                     capsys):
+        if argv[0] != "certify":
+            argv = [*argv, "--out", str(tmp_path / "o")]
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err == f"framecs: error: {message}\n"
+        assert builder_calls == []
+        assert not (tmp_path / "o").exists()
+
+    def test_the_spy_sees_the_builders(self, builder_calls, tmp_path, capsys):
+        code, _, _ = run_cli([*RECOVER, "--dict", "identity", "--max-iter", "5",
+                              "--out", str(tmp_path)], capsys)
+        assert code == 2
+        assert builder_calls == ["identity", "gaussian", "dirac"]
+
+    def test_comma_separated_sparsities_keep_their_spaces(self, capsys):
+        base = ["certify", "drip-exact", "--n", "8", "--m", "6", "--seed", "7"]
+        assert run_cli([*base, "--s", " 2, 3"], capsys)[1] == run_cli(
+            [*base, "--s", "2,3"], capsys)[1]
+
+
+# flag values drawn around each setting's domain edges; sizes stay tiny
+_COUNTS = st.integers(-1, 3).map(str)
+_LEVELS = st.sampled_from(["-1", "0", "0.05", "1.5", "nan", "inf"])
+_KINDS = st.sampled_from(["identity", "dft", "concat-if", "gabor", "wavelet"])
+_SIZES = {"--n": st.sampled_from(["0", "4", "8", "16"]),
+          "--m": st.sampled_from(["0", "3", "6"])}
+_FLAGS = {
+    "recover": {
+        "--dict": _KINDS, "--dict2": _KINDS, "--oversampling": _COUNTS,
+        "--signal": st.sampled_from(["dirac", "compressible", "radar", "no/such.csv"]),
+        "--sensing": st.sampled_from(["gaussian", "bernoulli", "fourier"]),
+        "--sigma": _LEVELS, "--eps": _LEVELS,
+        "--eps-rule": st.sampled_from(["realized", "percentile"]),
+        "--rw-iters": _COUNTS, "--audit-s": _COUNTS,
+        "--duration": st.sampled_from(["2", "4", "32"]),
+        "--rise-fall": st.sampled_from(["0", "1", "3"]),
+        "--tol-rel": st.sampled_from(["0", "1e-3", "nan"]),
+        "--over-relaxation": st.sampled_from(["0.5", "1.8", "2"]),
+        "--history": st.none(),
+    },
+    "experiment": {
+        "--trials": _COUNTS, "--rw-iters": _COUNTS, "--oversampling": _COUNTS,
+        "--sigmas": st.sampled_from(["", "0", "0.1,0.2", "-1", "nan", "0.1,,2"]),
+        "--dict": _KINDS,
+        "--signal": st.sampled_from(["dirac", "compressible", "radar", "dirca"]),
+    },
+    "certify": {
+        "--dict": _KINDS, "--oversampling": _COUNTS,
+        "--s": st.sampled_from(["0", "1", "1,2", "2,,3", " 2, 3", ""]),
+        "--trials": st.sampled_from(["0", "1", "20"]),
+        "--delta": _LEVELS,
+        "--sensing": st.sampled_from(["gaussian", "bernoulli", "fourier"]),
+    },
+}
+_HEADS = {
+    "recover": st.sampled_from(list(METHODS)).map(lambda m: ["--method", m]),
+    "experiment": st.sampled_from(list(scenarios.EXPERIMENTS)).map(lambda e: [e]),
+    "certify": st.sampled_from(scenarios.SETTINGS["what"].choices).map(lambda w: [w]),
+}
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand with a few drawn flags, at tiny sizes and a small
+    iteration cap; recover always gets --n and --m, certify --n."""
+    command = draw(st.sampled_from(list(_FLAGS)))
+    flags = {**_FLAGS[command], **_SIZES}
+    argv = [command, *draw(_HEADS[command])]
+    if command != "certify":
+        argv.append("--max-iter=30")
+    required = {"recover": ["--n", "--m"], "experiment": [], "certify": ["--n"]}[command]
+    names = draw(st.sets(st.sampled_from(sorted(flags)), max_size=6)) | set(required)
+    for name in sorted(names):
+        value = draw(flags[name])
+        argv += [name] if value is None else [f"{name}={value}"]
+    return argv
+
+
+def _strict_json(text):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+class TestEveryFlagSet:
+    """Whatever the flags, a run either exits 1 having written nothing, or
+    exits 0 or 2 with its outputs."""
+
+    @given(command_lines())
+    @settings(max_examples=60, deadline=None)
+    def test_exit_code_and_outputs_agree(self, argv):
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "o"
+            if argv[0] != "certify":
+                argv = [*argv, "--out", str(out)]
+            with redirect_stdout(stdout), redirect_stderr(stderr):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse's own usage errors
+                    code = exc.code
+            written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+            if code == 1:
+                assert (written, stdout.getvalue()) == ([], "")
+                return
+            assert code in (0, 2), (argv, stderr.getvalue())
+            if argv[0] == "recover":
+                assert {"report.json", "recovered.csv"} <= set(written)
+                assert ("history.csv" in written) == ("--history" in argv)
+                report = _strict_json((out / "report.json").read_text())
+                assert report["converged"] is (code == 0)
+            elif argv[0] == "experiment":
+                assert code == 0 and "config.txt" in written and len(written) >= 2
+                assert sorted(stdout.getvalue().splitlines()) == [
+                    str(out / name) for name in written]
+            else:
+                assert written == []
+                assert bool(stdout.getvalue()) == (code == 0)

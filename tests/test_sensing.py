@@ -221,6 +221,12 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(A, np.zeros(8), -0.1, seed=0)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan])
+    def test_non_finite_sigma_rejected(self, sigma):
+        A = gaussian_sensing(5, 8, seed=1)
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            measure(A, np.ones(8), sigma, seed=0)
+
 
 def test_descriptor_round_trip():
     for ctor in (gaussian_sensing, bernoulli_sensing, subsampled_dft_sign):

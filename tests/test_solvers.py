@@ -3,8 +3,6 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import framecs.frames as frames
 from framecs.frames import (
@@ -38,7 +36,6 @@ from framecs.solvers import (
     lemma_audit,
     reweight_weights,
     reweighted_l1_analysis,
-    soft_threshold,
     split_analysis,
 )
 
@@ -57,24 +54,6 @@ def random_orthogonal(n, rng):
 
 
 TIGHT_CFG = SolverConfig(max_iter=40000, tol_rel=1e-10, over_relaxation=1.8)
-
-
-class TestProxPrimitives:
-    def test_soft_threshold_real(self):
-        out = soft_threshold(np.array([3.0, -1.0]), 1.0)
-        assert np.allclose(out, [2.0, 0.0])
-
-    @given(st.floats(0, 2 * math.pi))
-    def test_soft_threshold_preserves_phase(self, theta):
-        v = np.array([2.0 * np.exp(1j * theta)])
-        out = soft_threshold(v, 0.5)
-        assert abs(out[0] - 1.5 * np.exp(1j * theta)) <= 1e-12
-
-    def test_soft_threshold_weights(self):
-        out = soft_threshold(np.array([3.0, 3.0]), 1.0, weights=np.array([1.0, 2.0]))
-        assert np.allclose(out, [2.0, 1.0])
-        with pytest.raises(ValueError):
-            soft_threshold(np.array([1.0]), -0.5)
 
 
 def operator_norm(apply, adjoint, dim, iters):
@@ -161,6 +140,13 @@ class TestL1Analysis:
             l1_analysis(A, build_identity(8), np.zeros(4), -1.0)
         with pytest.raises(ValueError, match="length m"):
             l1_analysis(A, build_identity(8), np.zeros(5), 0.0)
+
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    @pytest.mark.parametrize("program", [l1_analysis, l1_synthesis])
+    def test_non_finite_eps_rejected(self, program, eps):
+        A = gaussian_sensing(4, 8, seed=0)
+        with pytest.raises(ValueError, match="eps must be finite and >= 0"):
+            program(A, build_identity(8), np.ones(4), eps)
 
     def test_history_recorded_when_requested(self):
         n = 8
