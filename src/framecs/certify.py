@@ -76,8 +76,8 @@ SCREEN_GUARD = 1e-3
 # scale (measured on near-multiples G ~ c P, s <= 5).  1e-6 covers the
 # two with room; 1e-8 does not.
 SCREEN_SLACK = 1e-6
-# Philox stream of the Monte Carlo draws: not 0 (sensing, pulses, noise),
-# not 0x9090 (power iteration) and above every split_seed stream in use.
+# Philox stream of the Monte Carlo draws: not 0 (sensing, pulses, noise)
+# and above every split_seed stream in use.
 MC_STREAM = 0x4D6F6E7465
 
 

@@ -77,9 +77,13 @@ EXIT_NUMERIC = 2
 
 
 def _out_dir(flag_value: str | None) -> Path:
-    out = flag_value or os.environ.get("FRAMECS_OUT", "out")
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    """The output directory, not yet made: refused when it, or the nearest
+    of its parents that exists, is not a directory."""
+    path = Path(flag_value or os.environ.get("FRAMECS_OUT", "out"))
+    nearest = next(p for p in (path, *path.parents) if p.exists())
+    if not nearest.is_dir():
+        raise ValueError(f"cannot make output directory {path}: "
+                         f"{nearest} is not a directory")
     return path
 
 
@@ -99,6 +103,7 @@ def _values(args, flags) -> dict:
 
 def cmd_recover(args) -> int:
     cfg = RecoverConfig(**_values(args, RECOVER_FLAGS))
+    out = _out_dir(cfg.out)
     n, m = cfg.n, cfg.m
     kinds = (cfg.dict, cfg.dict2)[: METHODS[cfg.method].dictionaries]
     dicts = tuple(build_dictionary(kind, n, cfg) for kind in kinds)
@@ -133,7 +138,7 @@ def cmd_recover(args) -> int:
 
     rel = metrics(report.f_hat, f)["relative_error"]
     text = fio.report_to_json(report, relative_error=rel)
-    out = _out_dir(cfg.out)
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(text)
     (out / "recovered.csv").write_text(fio.signal_to_csv(report.f_hat))
     if cfg.history:
@@ -266,6 +271,7 @@ def cmd_experiment(args) -> int:
     # the directory first, so that an unwritable path fails before any
     # solve; the files only once the runner has returned every table
     out = _out_dir(out or cfg.output_dir or None)
+    out.mkdir(parents=True, exist_ok=True)
     files = {"config.txt": serialize_config(cfg), **_RUNNERS[cfg.experiment](cfg)}
     for name, body in files.items():
         (out / name).write_text(body)

@@ -5,6 +5,10 @@ A dictionary D maps coefficient vectors in C^d to signals in C^n
 constructors (oversampled DFT, Gabor) get FFT fast paths; everything can
 fall back to a dense matrix below the materialization cap.
 
+Frame bounds are exact or refused: a tight dictionary records (1, 1) and
+a Gabor frame its lattice bounds when built; frame_bounds computes any
+other's densely up to ``DENSE_BOUNDS_LIMIT`` and refuses above it.
+
 A Gabor frame lives on a dividing lattice: Q = 1/b is an integer with
 a | Q | n.  Only such lattices have exact frame bounds, an exact ||D|| and
 Zak-domain maps (Zibulski and Zeevi 1997; Soendergaard, "Finite discrete
@@ -23,8 +27,7 @@ import math
 
 import numpy as np
 
-from .linops import LinearOperator, gram, power_iteration
-from .rng import make_rng
+from .linops import LinearOperator, gram
 
 __all__ = [
     "Dictionary",
@@ -46,7 +49,9 @@ class Dictionary(LinearOperator):
     ``apply`` maps coefficients (length d) to a signal (length n);
     ``adjoint`` maps a signal to coefficients.  ``tight`` marks frames
     with D D* = I; each constructor decides it once, and nothing later
-    rewrites it.
+    rewrites it.  ``_bounds_cache`` holds the exact frame bounds (A, B)
+    the structure fixes, set at construction only: (1.0, 1.0) when tight,
+    build_gabor's lattice bounds, else None.
     """
 
     def __init__(self, n, d, apply, adjoint, kind, tight=False):
@@ -55,10 +60,7 @@ class Dictionary(LinearOperator):
         self.d = int(d)
         self.kind = kind
         self.tight = bool(tight)
-        # Exact frame bounds (A, B) known from the structure, set by the
-        # constructor (build_gabor's lattice bounds) and never afterwards;
-        # None when the structure gives none.
-        self._bounds_cache: tuple[float, float] | None = None
+        self._bounds_cache = (1.0, 1.0) if self.tight else None
 
     def __repr__(self):
         return (
@@ -189,8 +191,9 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     The build also computes the exact frame bounds (see _lattice_bounds)
     and stores them in ``_bounds_cache``, which frame_bounds returns and
     from which the solvers take ||D|| = sqrt(B).  ``tight`` means
-    D D* = I, so it is set only when both bounds lie within 1e-12 of 1: a
-    frame with A = B != 1, such as the flat window on (64, 8, 1/64) with
+    D D* = I, so it is set only when both bounds lie within 1e-12 of 1,
+    and a tight frame records (1.0, 1.0) as every tight dictionary does.
+    A frame with A = B != 1, such as the flat window on (64, 8, 1/64) with
     bounds (8, 8), is not tight.
 
     Rejected: sigma that is not > 0 (NaN included), a time step a that is
@@ -278,7 +281,8 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
 
     tight = max(abs(bounds[0] - 1.0), abs(bounds[1] - 1.0)) <= 1e-12
     out = Dictionary(n, d, apply, adjoint, kind="gabor", tight=tight)
-    out._bounds_cache = bounds
+    if not tight:
+        out._bounds_cache = bounds
     return out
 
 
@@ -322,66 +326,57 @@ def from_matrix(M: np.ndarray) -> Dictionary:
     if M.ndim != 2:
         raise ValueError("expected a 2-d matrix")
     n, d = M.shape
+    # M M* in column chunks (linops.gram), minus I in place
+    S = gram(M)
+    S.flat[:: n + 1] -= 1.0
+    tight = bool(np.linalg.norm(S, "fro") <= 1e-10 * math.sqrt(n))
     # D* f = conj(M^T conj(f)): BLAS reads M through its transposed view,
     # so no conjugated copy of the table is kept
     out = Dictionary(
-        n, d, lambda x: M @ x, lambda f: (M.T @ f.conj()).conj(), kind="dense"
+        n, d, lambda x: M @ x, lambda f: (M.T @ f.conj()).conj(), "dense", tight
     )
     out._dense_cache = M
-    # M M* in column chunks (linops.gram), minus I in place
-    S = gram(out)
-    S.flat[:: n + 1] -= 1.0
-    out.tight = bool(np.linalg.norm(S, "fro") <= 1e-10 * math.sqrt(n))
     return out
 
 
-# Largest n whose frame bounds come from a dense eigensolve; read at call
-# time.
+# Largest n whose frame operator D D* is formed densely, by frame_bounds
+# and tighten; read at call time.
 DENSE_BOUNDS_LIMIT = 4096
 
 
+def _frame_operator(D: Dictionary) -> np.ndarray:
+    """S = D D* (linops.gram), refused above ``DENSE_BOUNDS_LIMIT``."""
+    if D.n > DENSE_BOUNDS_LIMIT:
+        raise ValueError(f"dense frame operator of n = {D.n} exceeds "
+                         f"DENSE_BOUNDS_LIMIT ({DENSE_BOUNDS_LIMIT})")
+    return gram(D)
+
+
 def frame_bounds(D: Dictionary) -> tuple[float, float]:
-    """Frame bounds (A, B) = extreme eigenvalues of D D*.
+    """Frame bounds (A, B) = extreme eigenvalues of D D*, exact or refused.
 
-    Up to n = ``DENSE_BOUNDS_LIMIT``, a dense Hermitian eigensolve of
-    S = D D* from ``linops.gram``: blocks of identity columns through D*
-    and then D, or chunked products of D's matrix when D stores one;
-    memory is one n x n complex S, never the n x d D.  Beyond that, power
-    iteration on the frame operator and on B*I - D D*, at most 500 steps
-    each.  The step cap can bind: on the frame of build_gabor(256, 8.0,
-    8, 1/32) the power branch lands within 6e-5 (A) and 8e-5 (B) relative
-    of the dense eigenvalues.
-
-    Exact bounds stored at construction (build_gabor's) answer at every
-    n.  Otherwise the bounds are computed afresh on each call and nothing
-    is stored on D, so no result depends on which calls ran on D before.
+    The bounds D's constructor recorded answer at every n.  Otherwise a
+    dense Hermitian eigensolve of S = D D* from ``linops.gram`` (blocks of
+    identity columns through D* and then D, or chunks of D's stored
+    matrix; memory one n x n complex S, never the n x d D) computes them
+    afresh on each call and stores nothing on D, so no result depends on
+    which calls ran on D before.  Above ``DENSE_BOUNDS_LIMIT`` it raises.
     """
     if D._bounds_cache is not None:
         return D._bounds_cache
-    if D.n <= DENSE_BOUNDS_LIMIT:
-        eig = np.linalg.eigvalsh(gram(D))
-        A, B = float(eig[0]), float(eig[-1])
-    else:
-
-        def frame_op(v):
-            return D.apply(D.adjoint(v))
-
-        B = power_iteration(frame_op, D.n, make_rng(0x5EED, D.n), 500)
-        A = B - power_iteration(
-            lambda v: B * v - frame_op(v), D.n, make_rng(0x5EED, D.n), 500
-        )
-    return max(A, 0.0), B
+    eig = np.linalg.eigvalsh(_frame_operator(D))
+    return max(float(eig[0]), 0.0), float(eig[-1])
 
 
 def tighten(D: Dictionary) -> Dictionary:
     """Whiten a frame: returns (D D*)^{-1/2} D, which is tight.
 
-    S = D D* comes from ``linops.gram``, as in frame_bounds; memory is the
-    n x n complex S and its eigenvectors, and D itself is left
-    unmaterialized.  Raises when the frame lower bound is (numerically)
-    zero.
+    S = D D* comes from ``linops.gram`` and is refused above
+    ``DENSE_BOUNDS_LIMIT``, as in frame_bounds; memory is the n x n complex
+    S and its eigenvectors, and D itself is left unmaterialized.  Raises
+    when the frame lower bound is (numerically) zero.
     """
-    eig, V = np.linalg.eigh(gram(D))
+    eig, V = np.linalg.eigh(_frame_operator(D))
     if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
         raise ValueError("not a frame: frame operator is rank deficient")
     W = (V * (eig**-0.5)) @ V.conj().T  # Hermitian inverse square root

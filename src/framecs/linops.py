@@ -22,8 +22,10 @@ and window contractions, so each runs once for all columns), and a result
 of the wrong shape raises ValueError naming the expected one.
 
 ``gram(op)`` forms L L*, the frame operator D D* and the sensing Gram A A*
-alike: from the stored matrix, or else from identity blocks of at most
-``BLOCK_BYTES`` pushed through adjoint and then apply.
+alike: from the stored matrix (or a matrix passed in its place), or else
+from identity blocks of at most ``BLOCK_BYTES`` pushed through adjoint and
+then apply.  ``frames.frame_bounds`` eigensolves this Gram when D's
+constructor recorded no bounds.
 
 Operators are immutable after construction.  ``_dense_cache`` holds the
 matrix a dense operator was built from, in its own dtype, and nothing
@@ -46,7 +48,6 @@ __all__ = [
     "adjoint_mismatch",
     "gram",
     "matmul",
-    "power_iteration",
 ]
 
 # Dense export refuses above this many entries; read at call time.
@@ -185,17 +186,17 @@ def matmul(M: np.ndarray, v: np.ndarray) -> np.ndarray:
     return (M @ re) + 1j * (M @ im)
 
 
-def gram(op: LinearOperator) -> np.ndarray:
+def gram(op: LinearOperator | np.ndarray) -> np.ndarray:
     """The out_dim x out_dim Hermitian matrix L L* of L = op.
 
-    With a stored matrix M, the sum of C C* over chunks C of 256 columns
-    of M, in M's dtype (real arithmetic for a real M).  Otherwise column
-    j of L L* is L(L* e_j), formed for as many j at once as a complex128
-    identity block of at most ``BLOCK_BYTES`` holds; L itself is never
-    materialized.
+    With a stored matrix M, or op itself a matrix M, the sum of C C* over
+    chunks C of 256 columns of M, in M's dtype (real arithmetic for a real
+    M).  Otherwise column j of L L* is L(L* e_j), formed for as many j at
+    once as a complex128 identity block of at most ``BLOCK_BYTES`` holds;
+    L itself is never materialized.
     """
-    M = op._dense_cache
-    m = op.out_dim
+    M = op if isinstance(op, np.ndarray) else op._dense_cache
+    m = op.out_dim if M is None else M.shape[0]
     if M is not None:
         G = np.zeros((m, m), dtype=M.dtype)
         for j in range(0, M.shape[1], _GRAM_CHUNK):
@@ -227,31 +228,3 @@ def adjoint_mismatch(
         scale = np.linalg.norm(u) * np.linalg.norm(v)
         worst = max(worst, abs(lhs - rhs) / scale)
     return worst
-
-
-def power_iteration(
-    gram: Callable[[np.ndarray], np.ndarray],
-    dim: int,
-    rng: np.random.Generator,
-    iters: int,
-) -> float:
-    """Largest eigenvalue of a Hermitian positive semidefinite map.
-
-    Starts from a complex Gaussian vector drawn from `rng` and stops when
-    the Rayleigh quotient moves by at most 1e-12 relative, or after
-    `iters` steps.
-    """
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(iters):
-        w = gram(v)
-        new = float(np.real(np.vdot(v, w)))
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return 0.0
-        v = w / nw
-        if abs(new - lam) <= 1e-12 * max(abs(new), 1e-300):
-            return new
-        lam = new
-    return lam

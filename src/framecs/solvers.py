@@ -12,9 +12,11 @@ block: K = D* for the analysis programs, the identity for synthesis
 split-analysis (M sums the range-projected components, then applies A).
 The steps keep tau sigma ||K||^2 fixed and rebalance tau/sigma every
 iteration on the relative primal and dual residuals (Goldstein, Li,
-Yuan, Esser and Baraniuk 2015).  A solve has converged when both
-residuals and the relative duality gap, taken at the least-squares
-multiplier u = -(M M*)^+ M K* p, are at most tol_rel.
+Yuan, Esser and Baraniuk 2015); ||K|| = sqrt(B) is exact, B the upper
+frame bound from frames.frame_bounds (the larger one for split-analysis,
+1 for synthesis).  A solve has converged when both residuals and the
+relative duality gap, taken at the least-squares multiplier
+u = -(M M*)^+ M K* p, are at most tol_rel.
 
 The l1 norm of a complex vector is the sum of moduli throughout, and the
 dual p and K x are complex.  The engine is dtype-generic in the primal:
@@ -39,8 +41,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .frames import Dictionary, frame_bounds
-from .linops import MATERIALIZATION_CAP, LinearOperator, gram, matmul, power_iteration
-from .rng import make_rng
+from .linops import MATERIALIZATION_CAP, LinearOperator, gram, matmul
 from .sensing import SensingOperator
 from .signals import Signal
 
@@ -275,8 +276,6 @@ class _Solve(NamedTuple):
     history: list[tuple[float, float]] | None
 
 
-_POWER_ITERS = 100  # step cap of the ||K|| estimate behind the step size
-_POWER_SEED = 0  # seeds the estimate's start vector
 _ALPHA0 = 0.5  # first step-ratio adaptation factor
 _DECAY = 0.99  # each adaptation multiplies the factor by this
 _BALANCE = 1.5  # residual ratio beyond which the steps adapt
@@ -307,16 +306,6 @@ def _real_part(apply: Callable[[np.ndarray], np.ndarray]):
         return v.real
 
     return real_apply
-
-
-def _op_norm(D: Dictionary) -> float:
-    """||D||: sqrt(B) from the exact bounds stored at construction
-    (build_gabor's lattice bounds), else power iteration on D D*."""
-    if D._bounds_cache is not None:
-        return math.sqrt(D._bounds_cache[1])
-    rng = make_rng(_POWER_SEED, stream=0x9090)
-    lam = power_iteration(lambda v: D.apply(D.adjoint(v)), D.n, rng, _POWER_ITERS)
-    return math.sqrt(max(lam, 0.0))
 
 
 def _rel(a: np.ndarray, b: np.ndarray, scale: np.ndarray) -> float:
@@ -480,7 +469,7 @@ def _analysis(method, A, D, y, eps, cfg, rounds, s, reference, audit_s):
     y = _check_inputs(A, y, eps, D)
     s = s if s is not None else max(1, A.m // 4)
     con = _Constraint(A, y, eps, cfg)
-    norm_d = _op_norm(D)
+    norm_d = math.sqrt(frame_bounds(D)[1])
     res = None
     if _real_data(A, y):
         try:
@@ -593,8 +582,9 @@ def _range_projector(D: Dictionary) -> Callable[[np.ndarray], np.ndarray]:
     """Orthogonal projection onto range(D), the identity when D spans C^n.
 
     Rank-deficient components would otherwise make split-analysis
-    degenerate (content in the null space of D* is free).  Falls back to
-    assuming full rank when the dictionary is too large to materialize.
+    degenerate (content in the null space of D* is free).  A dictionary
+    too large to materialize has full rank when frame_bounds gives
+    A > 1e-10, and is refused otherwise or where frame_bounds refuses.
     """
     if D.tight:
         return _same
@@ -648,7 +638,7 @@ def split_analysis(
         2 * n,
         lambda z: np.concatenate([D1.adjoint(z[:n]), D2.adjoint(z[n:])]),
         lambda p: np.concatenate([D1.apply(p[:d1]), D2.apply(p[d1:])]),
-        max(_op_norm(D1), _op_norm(D2)),
+        math.sqrt(max(frame_bounds(D1)[1], frame_bounds(D2)[1])),
         1.0, con, cfg,
     )
     f1, f2 = parts(res.x)

@@ -870,6 +870,25 @@ class TestChecksRunBeforeAnyBuilder:
         assert builder_calls == []
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "constants"],
+        ["experiment", "radar", "--trials", "1"],
+        [*RECOVER, "--max-iter", "3"],
+    ])
+    @pytest.mark.parametrize("below", [False, True])
+    def test_out_naming_a_file_exits_1_before_building(self, argv, below,
+                                                       builder_calls, tmp_path,
+                                                       capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub" if below else afile
+        code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == (f"framecs: error: cannot make output directory {out}: "
+                       f"{afile} is not a directory\n")
+        assert builder_calls == []
+        assert afile.read_text() == "kept"
+
     def test_the_spy_sees_the_builders(self, builder_calls, tmp_path, capsys):
         code, _, _ = run_cli([*RECOVER, "--dict", "identity", "--max-iter", "5",
                               "--out", str(tmp_path)], capsys)

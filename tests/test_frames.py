@@ -25,6 +25,7 @@ from framecs.frames import (
 )
 from framecs.linops import LinearOperator, adjoint_mismatch, gram
 from framecs.rng import make_rng
+from framecs.scenarios import DICTIONARIES, ExperimentConfig
 from framecs.sensing import gaussian_sensing
 from oracles import gabor_atoms, gabor_frame_operator, gabor_window
 
@@ -35,9 +36,18 @@ def random_unit_pair(rng, n):
 
 
 def plain(D):
-    """D's maps in a Dictionary without its lattice bounds entry, so
-    frame_bounds takes the dense or power branch."""
-    return Dictionary(D.n, D.d, D.apply, D.adjoint, D.kind, D.tight)
+    """D's maps in a Dictionary with no recorded bounds (and not marked
+    tight), so frame_bounds computes them densely."""
+    return Dictionary(D.n, D.d, D.apply, D.adjoint, D.kind)
+
+
+def tracer_proxy(D):
+    """D's maps in a Dictionary built as perfbench's tracer builds its
+    proxies: positional fields, then both caches copied over."""
+    out = Dictionary(D.n, D.d, D.apply, D.adjoint, D.kind, D.tight)
+    out._dense_cache = D._dense_cache
+    out._bounds_cache = D._bounds_cache
+    return out
 
 
 def counting(D):
@@ -398,6 +408,15 @@ class TestTighten:
         with pytest.raises(ValueError, match="not a frame"):
             tighten(from_matrix(M))
 
+    def test_refused_above_the_dense_limit(self, monkeypatch):
+        D = build_gabor(64, 4.0, 4, 1 / 16)
+        monkeypatch.setattr(frames, "DENSE_BOUNDS_LIMIT", 16)
+        with pytest.raises(ValueError) as exc:
+            tighten(D)
+        assert str(exc.value) == (
+            "dense frame operator of n = 64 exceeds DENSE_BOUNDS_LIMIT (16)"
+        )
+
     def test_gabor_input_left_unmaterialized(self):
         # S = D D* takes n columns through each map; materializing D
         # would take d = 256 more through apply
@@ -460,17 +479,17 @@ class TestFrameBounds:
         A, B = frame_bounds(D)
         assert (A, B) == pytest.approx((5.0, 5.0), abs=1e-10)
 
-    def test_power_branch_matches_dense_eig(self, monkeypatch):
-        # a dense limit below n forces the power branch, whose 500-step cap
-        # binds on this frame.
-        D = plain(build_gabor(256, 8.0, 8, 1 / 32))
-        M = D.dense()
-        eig = np.linalg.eigvalsh(M @ M.conj().T)
-        monkeypatch.setattr(frames, "DENSE_BOUNDS_LIMIT", 16)
-        A, B = frame_bounds(D)
-        assert D._bounds_cache is None
-        assert A == pytest.approx(eig[0], rel=1e-3)
-        assert B == pytest.approx(eig[-1], rel=1e-3)
+    def test_refused_above_the_dense_limit(self, monkeypatch):
+        # no recorded bounds: a non-tight concatenation
+        D = build_concat(build_gabor(64, 4.0, 4, 1 / 16), build_oversampled_dft(64))
+        monkeypatch.setattr(frames, "DENSE_BOUNDS_LIMIT", 63)
+        with pytest.raises(ValueError) as exc:
+            frame_bounds(D)
+        assert str(exc.value) == (
+            "dense frame operator of n = 64 exceeds DENSE_BOUNDS_LIMIT (63)"
+        )
+        monkeypatch.setattr(frames, "DENSE_BOUNDS_LIMIT", 64)
+        assert frame_bounds(D) == frame_bounds(plain(D))
 
     @pytest.mark.parametrize(
         "n, sigma, a, b", [(64, 4.0, 4, 1 / 16), (96, 5.0, 3, 1 / 12)]
@@ -492,6 +511,40 @@ class TestFrameBounds:
         monkeypatch.setattr(frames, "DENSE_BOUNDS_LIMIT", 16)
         assert frame_bounds(D) == bounds
         assert D._bounds_cache is bounds
+
+
+# name -> (a builder of the dictionary, whether it is tight): every scenario
+# dictionary kind at n = 64, and the other constructors' outputs
+RECORDED_BOUNDS_CASES = {
+    **{kind: (lambda build=build: build(64, ExperimentConfig()), kind != "gabor")
+       for kind, build in DICTIONARIES.items()},
+    "tighten-gabor": (lambda: tighten(build_gabor(64, 4.0, 4, 1 / 16)), True),
+    "from-matrix-tight": (
+        lambda: from_matrix(np.linalg.qr(make_rng(43).standard_normal((16, 16)))[0]),
+        True),
+    "from-matrix": (
+        lambda: from_matrix(make_rng(44).standard_normal((16, 80)).view(complex)),
+        False),
+    "concat-gabor-dft": (lambda: build_concat(build_gabor(64, 4.0, 4, 1 / 16),
+                                              build_oversampled_dft(64)), False),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_BOUNDS_CASES)
+def test_recorded_bounds_are_exact(name):
+    """frame_bounds agrees with a dense eigensolve of a copy with no
+    recorded bounds, a tight dictionary records exactly (1, 1), and a
+    proxy built as the tracer builds one answers the same."""
+    build, tight = RECORDED_BOUNDS_CASES[name]
+    D = build()
+    assert D.tight == tight
+    A, B = frame_bounds(D)
+    eig = np.linalg.eigvalsh(gram(plain(D)))
+    assert A == pytest.approx(eig[0], rel=1e-12)
+    assert B == pytest.approx(eig[-1], rel=1e-12)
+    if tight:
+        assert (A, B) == (1.0, 1.0)
+    assert frame_bounds(tracer_proxy(D)) == (A, B)
 
 
 @pytest.mark.parametrize("earlier", ["dense", "drip_exact_small"])

@@ -15,7 +15,6 @@ from framecs.frames import (
     from_matrix,
     tighten,
 )
-from framecs.linops import power_iteration
 from framecs.rng import make_rng, split_seed
 from framecs.sensing import (
     SensingOperator,
@@ -29,7 +28,6 @@ import framecs.solvers as solvers
 from framecs.solvers import (
     SolverConfig,
     _Constraint,
-    _op_norm,
     _sensing_gram,
     l1_analysis,
     l1_synthesis,
@@ -54,32 +52,6 @@ def random_orthogonal(n, rng):
 
 
 TIGHT_CFG = SolverConfig(max_iter=40000, tol_rel=1e-10, over_relaxation=1.8)
-
-
-def operator_norm(apply, adjoint, dim, iters):
-    """||K|| from the power iteration on K*K, started as the engine does."""
-    lam = power_iteration(
-        lambda v: adjoint(apply(v)), dim, make_rng(0, stream=0x9090), iters
-    )
-    return math.sqrt(lam)
-
-
-class TestOperatorNorm:
-    def test_scaled_identity(self):
-        est = operator_norm(lambda v: 3.0 * v, lambda v: 3.0 * v, 10, iters=50)
-        assert est == pytest.approx(3.0, abs=1e-6)
-
-    def test_unitary(self):
-        F = build_oversampled_dft(16, 1)
-        est = operator_norm(F.apply, F.adjoint, F.in_dim, iters=50)
-        assert est == pytest.approx(1.0, abs=1e-6)
-
-    def test_random_dense_matches_svd(self):
-        rng = make_rng(12)
-        M = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
-        top = np.linalg.svd(M, compute_uv=False)[0]
-        est = operator_norm(lambda v: M @ v, lambda y: M.conj().T @ y, 10, iters=500)
-        assert est == pytest.approx(top, rel=1e-4)
 
 
 class TestL1Analysis:
@@ -502,29 +474,44 @@ class TestStepNorm:
         D = build_gabor(64, 4.0, 4, 1 / 16)
         A = gaussian_sensing(24, 64, seed=3)
         y, _ = measure(A, make_rng(2).standard_normal(64) + 0j, 0.0, seed=1)
-        # the power steps _op_norm takes without the lattice entry
-        P, power = counting(D, keep_bounds=False)
-        _op_norm(P)
-        steps = power["apply"]
-        assert steps > 0 and power == {"apply": steps, "adjoint": steps}
         cfg = SolverConfig(max_iter=4, tol_rel=1e-15)
         used = {}
         for keep in (True, False):
             C, used[keep] = counting(D, keep)
             assert l1_analysis(A, C, y, 0.0, cfg=cfg).iterations == 4
-        # one application of K = D* and of K* = D per iteration, plus the start
+        # one application of K = D* and of K* = D per iteration, plus the
+        # start; without the lattice bounds, frame_bounds' dense Gram adds
+        # its n column pairs
         assert used[True] == {"apply": 5, "adjoint": 5}
-        assert used[False] == {"apply": 5 + steps, "adjoint": 5 + steps}
+        assert used[False] == {"apply": 5 + D.n, "adjoint": 5 + D.n}
 
-    def test_norm_is_the_root_of_the_upper_frame_bound(self):
+    def test_norm_is_the_root_of_the_upper_frame_bound(self, monkeypatch):
+        norms = []
+        pdhg = solvers._pdhg
+
+        def spy(n_primal, K, K_adj, norm_k, *args, **kwargs):
+            norms.append(norm_k)
+            return pdhg(n_primal, K, K_adj, norm_k, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "_pdhg", spy)
+        cfg = SolverConfig(max_iter=2)
         D = build_gabor(1024, 16.0, 8, 1 / 64)
-        assert _op_norm(D) == math.sqrt(frame_bounds(D)[1])
-        assert _op_norm(D) ** 2 == pytest.approx(frame_bounds(D)[1], rel=4e-16)
+        A = gaussian_sensing(16, 1024, seed=5)
+        y, _ = measure(A, make_rng(4).standard_normal(1024) + 0j, 0.0, seed=1)
+        l1_analysis(A, D, y, 0.0, cfg=cfg)
+        assert norms == [math.sqrt(frame_bounds(D)[1])]
+        # split-analysis takes the larger of its two dictionaries' norms
+        D1, D2 = build_gabor(64, 4.0, 4, 1 / 16), build_oversampled_dft(64, 2)
+        A = gaussian_sensing(24, 64, seed=6)
+        y, _ = measure(A, make_rng(5).standard_normal(64) + 0j, 0.0, seed=1)
+        split_analysis(A, D1, D2, y, 0.0, cfg=cfg)
+        assert norms[1:] == [math.sqrt(max(frame_bounds(D1)[1], 1.0))]
 
     def test_off_lattice_solve_ignores_earlier_frame_bounds(self, monkeypatch):
         A = gaussian_sensing(24, 64, seed=4)
         y, _ = measure(A, make_rng(3).standard_normal(64) + 0j, 0.0, seed=1)
         cfg = SolverConfig(max_iter=300, over_relaxation=1.8)
+        refused = r"^dense frame operator of n = 64 exceeds DENSE_BOUNDS_LIMIT \(1\)$"
         reports = []
         for limit in (None, 4096, 1):
             # a concatenation carries no lattice entry, and is not tight
@@ -533,7 +520,13 @@ class TestStepNorm:
             if limit is not None:
                 with monkeypatch.context() as patch:
                     patch.setattr(frames, "DENSE_BOUNDS_LIMIT", limit)
-                    frame_bounds(D)
+                    if limit >= D.n:
+                        frame_bounds(D)
+                    else:  # below n the bounds are refused, and so is the solve
+                        with pytest.raises(ValueError, match=refused):
+                            frame_bounds(D)
+                        with pytest.raises(ValueError, match=refused):
+                            l1_analysis(A, D, y, 0.0, cfg=cfg)
             reports.append(l1_analysis(A, D, y, 0.0, cfg=cfg))
         first = reports[0]
         for rep in reports[1:]:
