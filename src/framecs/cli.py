@@ -77,13 +77,16 @@ EXIT_NUMERIC = 2
 
 
 def _out_dir(flag_value: str | None) -> Path:
-    """The output directory, not yet made: refused when it, or the nearest
-    of its parents that exists, is not a directory."""
+    """The output directory, not yet made: refused unless it, or its nearest
+    existing parent, is a directory this process may write to."""
     path = Path(flag_value or os.environ.get("FRAMECS_OUT", "out"))
     nearest = next(p for p in (path, *path.parents) if p.exists())
     if not nearest.is_dir():
         raise ValueError(f"cannot make output directory {path}: "
                          f"{nearest} is not a directory")
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise ValueError(f"cannot make output directory {path}: "
+                         f"{nearest} is not writable")
     return path
 
 
@@ -268,11 +271,11 @@ def cmd_experiment(args) -> int:
         raise ValueError(f"config file not found: {config}")
     cfg = parse_config(Path(config).read_text() if config else "", **given)
 
-    # the directory first, so that an unwritable path fails before any
-    # solve; the files only once the runner has returned every table
+    # the directory and its files only once the runner has returned every
+    # table, so a failed experiment leaves nothing on disk
     out = _out_dir(out or cfg.output_dir or None)
-    out.mkdir(parents=True, exist_ok=True)
     files = {"config.txt": serialize_config(cfg), **_RUNNERS[cfg.experiment](cfg)}
+    out.mkdir(parents=True, exist_ok=True)
     for name, body in files.items():
         (out / name).write_text(body)
     sys.stdout.write("".join(f"{out / name}\n" for name in files))

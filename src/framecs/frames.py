@@ -7,7 +7,8 @@ fall back to a dense matrix below the materialization cap.
 
 Frame bounds are exact or refused: a tight dictionary records (1, 1) and
 a Gabor frame its lattice bounds when built; frame_bounds computes any
-other's densely up to ``DENSE_BOUNDS_LIMIT`` and refuses above it.
+other's densely up to ``DENSE_BOUNDS_LIMIT`` and refuses above it, as
+tighten and range_projector (split-analysis's projection onto range(D)) do.
 
 A Gabor frame lives on a dividing lattice: Q = 1/b is an integer with
 a | Q | n.  Only such lattices have exact frame bounds, an exact ||D|| and
@@ -38,6 +39,7 @@ __all__ = [
     "from_matrix",
     "tighten",
     "frame_bounds",
+    "range_projector",
     "coherence",
     "gram_pnorm_factor",
 ]
@@ -237,9 +239,10 @@ def build_gabor(n: int, window_sigma: float, a: int, b: float) -> Dictionary:
     gnorm = math.sqrt(float(np.sum(g**2)))
 
     bounds = _lattice_bounds(g, a, q)
-    if bounds[0] <= 1e-12 * bounds[1]:
+    if bounds[0] <= _ZERO_EIG * bounds[1]:
         raise ValueError(
-            "not a frame: lattice bounds (%.3g, %.3g) have A <= 1e-12 B" % bounds
+            "not a frame: lattice bounds (%.3g, %.3g) have A <= %g B"
+            % (*bounds, _ZERO_EIG)
         )
     if 8 * n * n_time > _GEMM_TABLE_BYTES:
         apply, adjoint = _zak_maps(g, gnorm, a, q)
@@ -339,9 +342,10 @@ def from_matrix(M: np.ndarray) -> Dictionary:
     return out
 
 
-# Largest n whose frame operator D D* is formed densely, by frame_bounds
-# and tighten; read at call time.
+# Largest n whose frame operator D D* is formed densely, by frame_bounds,
+# tighten and range_projector; read at call time.
 DENSE_BOUNDS_LIMIT = 4096
+_ZERO_EIG = 1e-12  # eigenvalues of D D* at most this times the largest are 0
 
 
 def _frame_operator(D: Dictionary) -> np.ndarray:
@@ -377,7 +381,7 @@ def tighten(D: Dictionary) -> Dictionary:
     when the frame lower bound is (numerically) zero.
     """
     eig, V = np.linalg.eigh(_frame_operator(D))
-    if eig[0] <= 1e-12 * max(eig[-1], 1e-300):
+    if eig[0] <= _ZERO_EIG * eig[-1]:
         raise ValueError("not a frame: frame operator is rank deficient")
     W = (V * (eig**-0.5)) @ V.conj().T  # Hermitian inverse square root
 
@@ -391,6 +395,20 @@ def tighten(D: Dictionary) -> Dictionary:
     if D._dense_cache is not None:
         out._dense_cache = W @ D._dense_cache
     return out
+
+
+def range_projector(D: Dictionary):
+    """v -> P v, the orthogonal projection onto range(D): the identity when
+    D spans C^n, as recorded bounds always do (build_gabor refuses others),
+    else V V* over the eigenvectors of S = D D* above _ZERO_EIG (S formed
+    as in frame_bounds, and refused above ``DENSE_BOUNDS_LIMIT``)."""
+    if D._bounds_cache is None:
+        eig, V = np.linalg.eigh(_frame_operator(D))
+        live = eig > _ZERO_EIG * eig[-1]
+        if not live.all():
+            P = V[:, live] @ V[:, live].conj().T
+            return lambda v: P @ v
+    return lambda v: v
 
 
 def coherence(M: Dictionary | np.ndarray) -> float:

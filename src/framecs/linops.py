@@ -24,8 +24,8 @@ of the wrong shape raises ValueError naming the expected one.
 ``gram(op)`` forms L L*, the frame operator D D* and the sensing Gram A A*
 alike: from the stored matrix (or a matrix passed in its place), or else
 from identity blocks of at most ``BLOCK_BYTES`` pushed through adjoint and
-then apply.  ``frames.frame_bounds`` eigensolves this Gram when D's
-constructor recorded no bounds.
+then apply.  ``frames.frame_bounds`` and ``range_projector`` eigensolve
+this Gram when D recorded no bounds, and ``tighten`` always.
 
 Operators are immutable after construction.  ``_dense_cache`` holds the
 matrix a dense operator was built from, in its own dtype, and nothing

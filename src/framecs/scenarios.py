@@ -176,8 +176,8 @@ _DICTIONARY = Setting(str, "gabor", " | ".join(DICTIONARIES),
 _CONFIG: dict[str, Setting] = {
     "experiment": Setting(str, "noise-curve", flag="name", choices=list(EXPERIMENTS),
                           check=lambda flag, v: _lookup(DEFAULTS, v, "experiment")),
-    "n": Setting(int, 256, "signal length"),
-    "m": Setting(int, 100, "number of measurements"),
+    "n": Setting(int, 256, "signal length", _at_least_1),
+    "m": Setting(int, 100, "number of measurements", _at_least_1),
     "oversampling": Setting(int, 4, "redundancy of the dft dictionary"),
     "sigmas": Setting(_floats, (0.02, 0.05, 0.1, 0.15, 0.25),
                       "comma-separated noise levels, relative to the signal"),
@@ -191,8 +191,8 @@ _CONFIG: dict[str, Setting] = {
     "gabor_a": Setting(int, 8, "time step a"),
     "gabor_b": Setting(float, 1.0 / 32.0, "frequency step b: 1/b must be an "
                        "integer Q with a | Q | n (a = --gabor-a)"),
-    "pulses": Setting(int, 1),
-    "duration": Setting(int, 96),
+    "pulses": Setting(int, 1, check=_at_least_1),
+    "duration": Setting(int, 96, check=_at_least_1),
     "rise_fall": Setting(int, 24),
     "f_lo": Setting(float, 0.05),
     "f_hi": Setting(float, 0.45),

@@ -64,6 +64,8 @@ class PulseParams:
     def __post_init__(self):
         if self.num_pulses < 1:
             raise ValueError("num_pulses must be >= 1")
+        if self.duration < 1:
+            raise ValueError("duration must be >= 1")
         if self.rise_fall < 0 or 2 * self.rise_fall > self.duration:
             raise ValueError("need rise_fall*2 <= duration")
         if not (0.0 <= self.f_lo <= self.f_hi <= 0.5):

@@ -9,7 +9,8 @@ closed form for the subsampled DFT, a scalar Newton root for eps > 0),
 so every iterate it returns is feasible.  The l1 term is its one dual
 block: K = D* for the analysis programs, the identity for synthesis
 (x holds coefficients, M = A D) and the stacked D1*, D2* for
-split-analysis (M sums the range-projected components, then applies A).
+split-analysis (M sums the components, each projected onto its
+dictionary's range by frames.range_projector, then applies A).
 The steps keep tau sigma ||K||^2 fixed and rebalance tau/sigma every
 iteration on the relative primal and dual residuals (Goldstein, Li,
 Yuan, Esser and Baraniuk 2015); ||K|| = sqrt(B) is exact, B the upper
@@ -40,8 +41,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .frames import Dictionary, frame_bounds
-from .linops import MATERIALIZATION_CAP, LinearOperator, gram, matmul
+from .frames import Dictionary, frame_bounds, range_projector
+from .linops import LinearOperator, gram, matmul
 from .sensing import SensingOperator
 from .signals import Signal
 
@@ -578,31 +579,6 @@ def l1_synthesis(
     return report, res.x
 
 
-def _range_projector(D: Dictionary) -> Callable[[np.ndarray], np.ndarray]:
-    """Orthogonal projection onto range(D), the identity when D spans C^n.
-
-    Rank-deficient components would otherwise make split-analysis
-    degenerate (content in the null space of D* is free).  A dictionary
-    too large to materialize has full rank when frame_bounds gives
-    A > 1e-10, and is refused otherwise or where frame_bounds refuses.
-    """
-    if D.tight:
-        return _same
-    if D.n * D.d > MATERIALIZATION_CAP:
-        lo, _ = frame_bounds(D)
-        if lo <= 1e-10:
-            raise ValueError("rank-deficient dictionary too large to project")
-        return _same
-    M = D.dense()
-    u, sv, _ = np.linalg.svd(M, full_matrices=False)
-    rank = int(np.sum(sv > max(M.shape) * np.finfo(float).eps * sv[0]))
-    if rank >= D.n:
-        return _same
-    basis = u[:, :rank]
-    proj = basis @ basis.conj().T
-    return lambda v: proj @ v
-
-
 def split_analysis(
     A: SensingOperator,
     D1: Dictionary,
@@ -616,14 +592,15 @@ def split_analysis(
     """min ||D1* f1||_1 + ||D2* f2||_1  s.t.  ||A(f1+f2) - y||_2 <= eps.
 
     Returns (report, fhat1, fhat2) with fhat = fhat1 + fhat2.  Each
-    component is constrained to the range of its dictionary, which is
-    vacuous for spanning dictionaries and removes the free null-space
-    degeneracy otherwise.  The report's diagnostics audit against D1.
+    component is held in the range of its dictionary by
+    frames.range_projector, which is vacuous for spanning dictionaries and
+    removes the free null-space degeneracy otherwise.  The report's
+    diagnostics audit against D1.
     """
     cfg = cfg or SolverConfig()
     y = _check_inputs(A, y, eps, D1, D2)
     n, d1 = A.n, D1.d
-    P1, P2 = _range_projector(D1), _range_projector(D2)
+    P1, P2 = range_projector(D1), range_projector(D2)
 
     def parts(z):  # (f1, f2), each in the range of its dictionary
         return P1(z[:n]), P2(z[n:])

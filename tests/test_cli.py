@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import io
+import os
 import shlex
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -334,6 +335,20 @@ class TestExperimentCommand:
         assert code == 1 and stdout == ""
         assert err.startswith("framecs: error: ")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("argv, message", [
+        (["noise-curve", "--n", "4"], "Gabor lattice does not divide"),
+        (["dirac-comb", "--n", "60"], "perfect square"),
+        (["radar", "--n", "64", "--trials", "1"], "pulse duration 128 exceeds"),
+    ])
+    def test_failed_experiment_leaves_no_directory(self, argv, message, tmp_path,
+                                                   capsys):
+        # the builders fail after the flags pass their checks
+        out = tmp_path / "o"
+        code, stdout, err = run_cli(["experiment", *argv, "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err.startswith("framecs: error: ") and message in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("name, flag, kind, message", [
         ("radar", "--signal", "dirca",
@@ -859,6 +874,15 @@ class TestChecksRunBeforeAnyBuilder:
         (["certify", "drip-mc", "--n", "8"], "certify drip-mc requires --m"),
         ([*RECOVER, "--signal", "."], "signal file not found: ."),
         (["experiment", "constants", "--config", "."], "config file not found: ."),
+        ([*RECOVER, "--n", "0"], "--n must be >= 1, got 0"),
+        ([*RECOVER, "--m", "0"], "--m must be >= 1, got 0"),
+        ([*RECOVER, "--signal", "radar", "--pulses", "0"], "--pulses must be >= 1, got 0"),
+        ([*RECOVER, "--signal", "radar", "--duration", "0", "--rise-fall", "0"],
+         "--duration must be >= 1, got 0"),
+        (["experiment", "radar", "--n", "0"], "--n must be >= 1, got 0"),
+        (["experiment", "noise-curve", "--m", "0"], "--m must be >= 1, got 0"),
+        (["certify", "coherence", "--n", "0"], "--n must be >= 1, got 0"),
+        (["certify", "drip-mc", "--n", "8", "--m", "0"], "--m must be >= 1, got 0"),
     ])
     def test_exits_1_before_building(self, argv, message, builder_calls, tmp_path,
                                      capsys):
@@ -889,6 +913,28 @@ class TestChecksRunBeforeAnyBuilder:
         assert builder_calls == []
         assert afile.read_text() == "kept"
 
+    @pytest.mark.parametrize("argv", [
+        ["experiment", "constants"],
+        ["experiment", "radar", "--trials", "1"],
+        [*RECOVER, "--max-iter", "3"],
+    ])
+    @pytest.mark.parametrize("exists", [False, True])
+    def test_unwritable_out_exits_1_before_building(self, argv, exists, builder_calls,
+                                                    tmp_path, capsys, monkeypatch):
+        # os.access denies tmp_path/o in place of its permission bits,
+        # which a superuser would bypass
+        (tmp_path / "o").mkdir()
+        out = tmp_path / "o" if exists else tmp_path / "o" / "sub"
+        access = os.access
+        monkeypatch.setattr(os, "access", lambda p, mode: (
+            Path(p) != tmp_path / "o" and access(p, mode)))
+        code, stdout, err = run_cli([*argv, "--out", str(out)], capsys)
+        assert (code, stdout) == (1, "")
+        assert err == (f"framecs: error: cannot make output directory {out}: "
+                       f"{tmp_path / 'o'} is not writable\n")
+        assert builder_calls == []
+        assert list((tmp_path / "o").iterdir()) == []
+
     def test_the_spy_sees_the_builders(self, builder_calls, tmp_path, capsys):
         code, _, _ = run_cli([*RECOVER, "--dict", "identity", "--max-iter", "5",
                               "--out", str(tmp_path)], capsys)
@@ -915,7 +961,8 @@ _FLAGS = {
         "--sigma": _LEVELS, "--eps": _LEVELS,
         "--eps-rule": st.sampled_from(["realized", "percentile"]),
         "--rw-iters": _COUNTS, "--audit-s": _COUNTS,
-        "--duration": st.sampled_from(["2", "4", "32"]),
+        "--pulses": st.sampled_from(["0", "1", "2"]),
+        "--duration": st.sampled_from(["0", "2", "4", "32"]),
         "--rise-fall": st.sampled_from(["0", "1", "3"]),
         "--tol-rel": st.sampled_from(["0", "1e-3", "nan"]),
         "--over-relaxation": st.sampled_from(["0.5", "1.8", "2"]),
@@ -982,10 +1029,10 @@ class TestEveryFlagSet:
                     code = main(argv)
                 except SystemExit as exc:  # argparse's own usage errors
                     code = exc.code
-            written = sorted(p.name for p in out.iterdir()) if out.exists() else []
             if code == 1:
-                assert (written, stdout.getvalue()) == ([], "")
+                assert (out.exists(), stdout.getvalue()) == (False, "")
                 return
+            written = sorted(p.name for p in out.iterdir()) if out.exists() else []
             assert code in (0, 2), (argv, stderr.getvalue())
             if argv[0] == "recover":
                 assert {"report.json", "recovered.csv"} <= set(written)

@@ -21,6 +21,7 @@ from framecs.frames import (
     frame_bounds,
     from_matrix,
     gram_pnorm_factor,
+    range_projector,
     tighten,
 )
 from framecs.linops import LinearOperator, adjoint_mismatch, gram
@@ -545,6 +546,48 @@ def test_recorded_bounds_are_exact(name):
     if tight:
         assert (A, B) == (1.0, 1.0)
     assert frame_bounds(tracer_proxy(D)) == (A, B)
+
+
+class TestRangeProjector:
+    @pytest.mark.parametrize(
+        "name", [*DICTIONARIES, "tighten-gabor", "from-matrix-tight"]
+    )
+    def test_recorded_bounds_give_the_identity_unapplied(self, name):
+        D = RECORDED_BOUNDS_CASES[name][0]()
+        C, columns = counting(D)
+        C._bounds_cache = D._bounds_cache
+        assert C._bounds_cache is not None
+        v = make_rng(45, D.n).standard_normal(D.n) + 0j
+        assert np.array_equal(range_projector(C)(v), v)
+        assert columns == {"apply": 0, "adjoint": 0}
+
+    @pytest.mark.parametrize(
+        "n, d, rank", [(16, 40, 6), (32, 24, 10), (64, 64, 30), (128, 200, 50)]
+    )
+    def test_rank_deficient_matches_the_svd_projector(self, n, d, rank):
+        rng = make_rng(46, n)
+        left = rng.standard_normal((n, 2 * rank)).view(complex)
+        M = left @ rng.standard_normal((rank, 2 * d)).view(complex)
+        u, sv, _ = np.linalg.svd(M)
+        assert sv[rank] <= 1e-13 * sv[0] < sv[rank - 1]
+        ref = u[:, :rank] @ u[:, :rank].conj().T
+        got = range_projector(from_matrix(M))(np.eye(n, dtype=complex))
+        assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_full_rank_concatenation_is_the_identity(self):
+        D = build_concat(build_gabor(64, 4.0, 4, 1 / 16), build_oversampled_dft(64))
+        assert D._bounds_cache is None and not D.tight
+        v = make_rng(47).standard_normal(64) + 0j
+        assert np.array_equal(range_projector(D)(v), v)
+
+    def test_refused_above_the_dense_limit(self, monkeypatch):
+        D = build_concat(build_gabor(64, 4.0, 4, 1 / 16), build_oversampled_dft(64))
+        monkeypatch.setattr(frames, "DENSE_BOUNDS_LIMIT", 63)
+        with pytest.raises(ValueError) as exc:
+            range_projector(D)
+        assert str(exc.value) == (
+            "dense frame operator of n = 64 exceeds DENSE_BOUNDS_LIMIT (63)"
+        )
 
 
 @pytest.mark.parametrize("earlier", ["dense", "drip_exact_small"])

@@ -66,6 +66,8 @@ class TestRadarPulseTrain:
                                               rise_fall=4, seed=0))
         with pytest.raises(ValueError, match="rise_fall"):
             PulseParams(num_pulses=1, duration=10, rise_fall=6, seed=0)
+        with pytest.raises(ValueError, match="^duration must be >= 1$"):
+            PulseParams(num_pulses=1, duration=0, rise_fall=0, seed=0)
         with pytest.raises(ValueError, match="f_lo"):
             PulseParams(num_pulses=1, duration=10, rise_fall=2, f_lo=0.4,
                         f_hi=0.2, seed=0)

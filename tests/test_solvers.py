@@ -15,6 +15,7 @@ from framecs.frames import (
     from_matrix,
     tighten,
 )
+from framecs.linops import LinearOperator
 from framecs.rng import make_rng, split_seed
 from framecs.sensing import (
     SensingOperator,
@@ -190,6 +191,19 @@ def test_reported_feasibility_is_the_constraint_residual(method):
     assert rep.method == method
     residual = np.linalg.norm(A.apply(rep.f_hat.samples) - y)
     assert abs(rep.feasibility - residual) <= 1e-10 * np.linalg.norm(y)
+
+
+def test_no_program_materializes_the_dictionary(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"dense() of {self!r}")
+
+    monkeypatch.setattr(LinearOperator, "dense", refuse)
+    D = build_gabor(1024, 16.0, 8, 1 / 64)
+    A = gaussian_sensing(16, 1024, seed=5)
+    y, _ = measure(A, make_rng(4).standard_normal(1024) + 0j, 0.0, seed=1)
+    for method in sorted(PROGRAMS):
+        rep = PROGRAMS[method](A, D, y, 0.0, SolverConfig(max_iter=2))
+        assert (rep.method, rep.iterations) == (method, 2)
 
 
 class TestReweighted:
